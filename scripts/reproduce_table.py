@@ -23,7 +23,6 @@ def main() -> int:
         "--eps", action="append", default=None,
         help="extra slack, repeatable (e.g. --eps 1e-5 --eps 1/300000)",
     )
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument(
         "--skip-check", action="store_true",
         help="skip the comparison against the embedded reference values",
@@ -31,7 +30,7 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    reference = reproduce_table(worker_count=args.workers)
+    reference = reproduce_table()
     reference_seconds = time.perf_counter() - t0
 
     print(f"{'eps':>10}  {'ell_bf':>7}  {'ell_ps':>7}  {'ell_star':>8}  "

@@ -21,13 +21,12 @@ from ellplan.bounds import (
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lmax", type=int, default=10**4)
-    ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
 
     bad = 0
 
     t0 = time.perf_counter()
-    reports = verify_bounds(list(BoundKind), 1, args.lmax, worker_count=args.workers)
+    reports = verify_bounds(list(BoundKind), 1, args.lmax)
     print(f"# four upper bounds, {time.perf_counter() - t0:.2f}s")
     for kind in BoundKind:
         report = reports[kind]
@@ -36,7 +35,7 @@ def main() -> int:
 
     if args.lmax >= 2:
         t0 = time.perf_counter()
-        ordering = verify_bound_ordering(2, args.lmax, worker_count=args.workers)
+        ordering = verify_bound_ordering(2, args.lmax)
         print(f"# ordering chain, {time.perf_counter() - t0:.2f}s")
         for report in ordering.values():
             print(("ok   " if report.all_ok else "FAIL ") + report.summary())
@@ -48,7 +47,7 @@ def main() -> int:
         )
 
     t0 = time.perf_counter()
-    floor = phi_floor_sweep(1, args.lmax, worker_count=args.workers)
+    floor = phi_floor_sweep(1, args.lmax)
     print(f"# 1/e floor, {time.perf_counter() - t0:.2f}s")
     print(("ok   " if floor.all_ok else "FAIL ") + floor.summary())
     bad += len(floor.failures) + len(floor.inconclusive)

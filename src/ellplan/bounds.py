@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ellplan.certified import (
     DEFAULT_POLICY,
@@ -37,7 +36,6 @@ from ellplan.certified import (
     const,
     enclose_e,
     enclose_exp,
-    enclose_log1p,
     exp_of,
     inv_e,
     log1p_of,
@@ -81,20 +79,6 @@ def rho(ell: int) -> Fraction:
     value = phi(ell)
     # gcd(d - n, d) = gcd(n, d) = 1, so skip the redundant normalization
     return _coprime_fraction(value.denominator - value.numerator, value.denominator)
-
-
-@dataclass(frozen=True)
-class PhiValue:
-    ell: int
-    value: Fraction
-
-    @classmethod
-    def at(cls, ell: int) -> "PhiValue":
-        return cls(ell, phi(ell))
-
-    @property
-    def rho(self) -> Fraction:
-        return rho(self.ell)
 
 
 class BoundKind(Enum):
@@ -179,27 +163,6 @@ class SweepReport:
         return "; ".join(parts)
 
 
-def _chunk_ranges(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
-    span = hi - lo + 1
-    pieces = max(1, min(pieces, span))
-    step = -(-span // pieces)
-    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-
-
-def _run_chunked(
-    lo: int,
-    hi: int,
-    job: Callable[[int, int], list],
-    worker_count: int = 1,
-) -> list:
-    if worker_count <= 1:
-        return job(lo, hi)
-    chunks = _chunk_ranges(lo, hi, worker_count * 8)
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        parts = list(pool.map(lambda c: job(*c), chunks))
-    return [entry for part in parts for entry in part]
-
-
 def _bound_envelope(kind: BoundKind, ell: int, bits: int) -> Enclosure:
     """Rational interval certified to contain bound(kind, ell)."""
     e_enc = enclose_e(bits)
@@ -230,36 +193,28 @@ def verify_bounds(
     lo: int,
     hi: int,
     policy: RefinementPolicy = DEFAULT_POLICY,
-    worker_count: int = 1,
 ) -> dict[BoundKind, SweepReport]:
     """Certify phi(ell) <= bound(kind, ell) for each kind over [lo, hi].
 
     One pass computes each phi(ell) once and feeds it to every kind whose
     domain covers that ell, so sweeping several kinds costs little more than
-    sweeping one.  Entries are sorted by ell regardless of worker count.
+    sweeping one.  Entries are sorted by ell.
     """
     _check_ell(lo)
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    kinds = list(kinds)
-
-    def job(a: int, b: int) -> list[tuple[BoundKind, SweepEntry]]:
-        out = []
-        for ell in range(a, b + 1):
-            value = phi(ell)
-            for kind in kinds:
-                if ell < kind.min_ell:
-                    continue
-                out.append((kind, _phi_vs_bound(value, kind, ell, policy)))
-        return out
-
-    tagged = _run_chunked(lo, hi, job, worker_count)
+    entries: dict[BoundKind, list[SweepEntry]] = {kind: [] for kind in kinds}
+    for ell in range(lo, hi + 1):
+        value = phi(ell)
+        for kind, out in entries.items():
+            if ell >= kind.min_ell:
+                out.append(_phi_vs_bound(value, kind, ell, policy))
     return {
         kind: SweepReport(
             label=f"phi <= {kind.value} on [{max(lo, kind.min_ell)}, {hi}]",
-            entries=tuple(e for k, e in tagged if k is kind),
+            entries=tuple(out),
         )
-        for kind in kinds
+        for kind, out in entries.items()
     }
 
 
@@ -268,13 +223,12 @@ def verify_bound(
     lo: int,
     hi: int,
     policy: RefinementPolicy = DEFAULT_POLICY,
-    worker_count: int = 1,
 ) -> SweepReport:
     """Certify phi(ell) <= bound(kind, ell) for every ell in [lo, hi]."""
     _check_ell(lo)
     if lo < kind.min_ell:
         raise ValueError(f"{kind.value} bound needs ell >= {kind.min_ell}")
-    return verify_bounds([kind], lo, hi, policy, worker_count)[kind]
+    return verify_bounds([kind], lo, hi, policy)[kind]
 
 
 _ORDER_CHAIN = (
@@ -288,7 +242,6 @@ def verify_bound_ordering(
     lo: int,
     hi: int,
     policy: RefinementPolicy = DEFAULT_POLICY,
-    worker_count: int = 1,
 ) -> dict[str, SweepReport]:
     """Certify sharp <= polya-szego <= loose-recip <= loose-linear on [lo, hi].
 
@@ -303,26 +256,19 @@ def verify_bound_ordering(
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
 
-    def job(a: int, b: int) -> list[tuple[str, SweepEntry]]:
-        out = []
-        for ell in range(a, b + 1):
-            for small, large in _ORDER_CHAIN:
-                cmp = cmp_certified(
-                    bound_factor(small, ell), bound_factor(large, ell), policy
-                )
-                ok = cmp.verdict in (Verdict.LESS, Verdict.EQUAL)
-                key = f"{small.value} <= {large.value}"
-                out.append((key, SweepEntry(ell, cmp.verdict, cmp.bits_used, ok)))
-        return out
-
-    tagged = _run_chunked(lo, hi, job, worker_count)
-    keys = [f"{s.value} <= {l.value}" for s, l in _ORDER_CHAIN]
+    entries: dict[str, list[SweepEntry]] = {
+        f"{s.value} <= {l.value}": [] for s, l in _ORDER_CHAIN
+    }
+    for ell in range(lo, hi + 1):
+        for (small, large), out in zip(_ORDER_CHAIN, entries.values()):
+            cmp = cmp_certified(
+                bound_factor(small, ell), bound_factor(large, ell), policy
+            )
+            ok = cmp.verdict in (Verdict.LESS, Verdict.EQUAL)
+            out.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
     return {
-        key: SweepReport(
-            label=f"{key} on [{lo}, {hi}]",
-            entries=tuple(e for k, e in tagged if k == key),
-        )
-        for key in keys
+        key: SweepReport(label=f"{key} on [{lo}, {hi}]", entries=tuple(out))
+        for key, out in entries.items()
     }
 
 
@@ -376,13 +322,6 @@ def check_log_tail4(t, policy: RefinementPolicy = DEFAULT_POLICY) -> LogCheck:
     t = Fraction(t)
     poly = t - t**2 / 2 + t**3 / 3 - t**4 / 4
     return _log_check("log_tail4", t, poly, policy)
-
-
-def log_tail4_slack(t, precision_bits: int = 128) -> Enclosure:
-    """Enclosure of log(1+t) minus its degree-4 alternating prefix."""
-    t = Fraction(t)
-    poly = t - t**2 / 2 + t**3 / 3 - t**4 / 4
-    return enclose_log1p(t, precision_bits).shift(-poly)
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +429,15 @@ def phi_strictly_decreasing(lo: int, hi: int) -> Optional[int]:
     return None
 
 
-def phi_above_inv_e(
-    ell: int, policy: RefinementPolicy = DEFAULT_POLICY
-) -> Comparison:
-    """Certified comparison of phi(ell) against 1/e (expected: Greater)."""
-    return cmp_certified(phi(ell), inv_e(), policy)
-
-
 def phi_floor_sweep(
     lo: int,
     hi: int,
     policy: RefinementPolicy = DEFAULT_POLICY,
-    worker_count: int = 1,
 ) -> SweepReport:
     """Certify phi(ell) > 1/e for every ell in [lo, hi].
 
-    The reciprocal envelope [1/e_hi, 1/e_lo] is shared by the whole chunk, so
-    the per-ell cost is one exact comparison.  The margin phi(ell) - 1/e is
+    The reciprocal envelope [1/e_hi, 1/e_lo] is shared by the whole range,
+    so the per-ell cost is one exact comparison.  The margin phi(ell) - 1/e is
     about 1/(2 e ell), far above 2^-32 for any ell this sweep will see, so
     the first rung almost always certifies.
     """
@@ -528,11 +459,7 @@ def phi_floor_sweep(
                 return SweepEntry(ell, Verdict.LESS, bits, False)
         return SweepEntry(ell, Verdict.UNRESOLVED, policy.cap_bits, False)
 
-    def job(a: int, b: int) -> list[SweepEntry]:
-        return [classify(ell) for ell in range(a, b + 1)]
-
-    entries = _run_chunked(lo, hi, job, worker_count)
     return SweepReport(
         label=f"phi > 1/e on [{lo}, {hi}]",
-        entries=tuple(entries),
+        entries=tuple(classify(ell) for ell in range(lo, hi + 1)),
     )

@@ -60,7 +60,9 @@ class Enclosure:
             object.__setattr__(self, "lo", Fraction(self.lo))
         if not isinstance(self.hi, Fraction):
             object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
+        # a point enclosure shares one object; comparing a million-digit
+        # rational with itself would cost two full cross-multiplications
+        if self.lo is not self.hi and self.lo > self.hi:
             raise ValueError(f"empty enclosure: lo={self.lo} > hi={self.hi}")
 
     @classmethod

@@ -8,8 +8,9 @@ Exit codes are part of the contract:
     2  inconclusive: the precision ladder hit its cap without a verdict
     3  usage, parse, or validation error
 
-Structured output is one schema-tagged line per object (see records);
-`--worker-count` affects wall-clock time only, never output bytes.
+Structured output is one schema-tagged line per object (see records).
+`--worker-count` is still accepted for compatibility but ignored: every
+command runs on one thread.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class RunConfig:
     precision_cap_bits: int = 4096
     output_format: str = "text"
     seed: Optional[int] = None
-    worker_count: Optional[int] = None
 
     def __post_init__(self):
         if not 8 <= self.precision_start_bits <= self.precision_cap_bits <= 65536:
@@ -89,18 +89,12 @@ class RunConfig:
             )
         if self.output_format not in ("text", "structured", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.worker_count is not None and self.worker_count < 1:
-            raise ValueError("worker count must be at least 1")
 
     @property
     def policy(self) -> RefinementPolicy:
         return RefinementPolicy(
             start_bits=self.precision_start_bits, cap_bits=self.precision_cap_bits
         )
-
-    @property
-    def workers(self) -> int:
-        return self.worker_count or 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,7 +122,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None)
     common.add_argument(
         "--worker-count", type=int, default=None, metavar="N",
-        help="parallelism for sweeps; never changes output bytes",
+        help="accepted and ignored; kept for compatibility and due for removal",
     )
 
     parser = _Parser(
@@ -210,7 +204,6 @@ def _resolve_config(args) -> RunConfig:
         precision_cap_bits=cap,
         output_format=args.format,
         seed=args.seed,
-        worker_count=args.worker_count,
     )
 
 
@@ -319,9 +312,7 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
     if args.suite == "bounds":
         if args.lmax < 1:
             raise ValueError("--lmax must be at least 1")
-        reports = verify_bounds(
-            list(BoundKind), 1, args.lmax, config.policy, config.workers
-        )
+        reports = verify_bounds(list(BoundKind), 1, args.lmax, config.policy)
         ordered = [reports[kind] for kind in BoundKind]
         for report in ordered:
             _sweep_lines(report, config, out)
@@ -330,7 +321,7 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
     if args.suite == "ordering":
         if args.lmax < 2:
             raise ValueError("--lmax must be at least 2 for the ordering chain")
-        reports = verify_bound_ordering(2, args.lmax, config.policy, config.workers)
+        reports = verify_bound_ordering(2, args.lmax, config.policy)
         for report in reports.values():
             _sweep_lines(report, config, out)
         exception = ordering_exception_at_one(config.policy)
@@ -421,7 +412,7 @@ def _cmd_table(args, config: RunConfig, out) -> int:
     specs = None
     if args.eps is not None:
         specs = [EpsSpec.parse(text) for text in args.eps]
-    rows = reproduce_table(specs, config.policy, config.workers)
+    rows = reproduce_table(specs, config.policy)
 
     if config.output_format == "structured":
         for row in rows:

@@ -14,8 +14,6 @@ including the wrap across an exponent boundary (9.9e5 vs 1.0e6).
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -23,7 +21,6 @@ from typing import Optional, Sequence, Union
 from ellplan.certified import (
     DEFAULT_POLICY,
     Enclosure,
-    PrecisionExhausted,
     RefinementPolicy,
     enclose_e,
     enclose_exp_interval,
@@ -114,34 +111,6 @@ def savings_factor(ell_hi: int, ell_lo: int) -> BigMagnitude:
     if ell_hi < ell_lo:
         raise ValueError(f"savings need ell_hi >= ell_lo, got {ell_hi} < {ell_lo}")
     return BigMagnitude.from_int(1 << (ell_hi - ell_lo))
-
-
-def log10_of_2_enclosure(bits: int) -> Enclosure:
-    """Certified interval around log10(2) = log1p(1) / log1p(9)."""
-    num = enclose_log1p(Fraction(1), bits)
-    den = enclose_log1p(Fraction(9), bits)
-    return Enclosure(num.lo / den.hi, num.hi / den.lo)
-
-
-def pow2_digit_count_certified(delta: int, start_bits: int = 96) -> int:
-    """floor(delta * log10(2)) + 1 with a certified floor.
-
-    delta * log10(2) is never an integer (2^delta is not a power of ten), so
-    the two endpoint floors agree once the enclosure is narrow enough.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if delta == 0:
-        return 1
-    bits = start_bits
-    while bits <= 1 << 16:
-        enc = log10_of_2_enclosure(bits)
-        lo = math.floor(delta * enc.lo)
-        hi = math.floor(delta * enc.hi)
-        if lo == hi:
-            return lo + 1
-        bits *= 2
-    raise PrecisionExhausted(f"digit count of 2^{delta} unresolved")
 
 
 _DECOMP_BITS = 128
@@ -251,21 +220,14 @@ def _row_for(eps: EpsSpec, policy: RefinementPolicy) -> TableRow:
 def reproduce_table(
     eps_list: Optional[Sequence[Union[EpsSpec, RationalLike]]] = None,
     policy: RefinementPolicy = DEFAULT_POLICY,
-    worker_count: int = 1,
 ) -> list[TableRow]:
-    """Rows for the given slacks (default: the five reference values).
-
-    Output order follows input order regardless of worker_count.
-    """
+    """Rows for the given slacks in input order (default: the five references)."""
     specs = [
         e if isinstance(e, EpsSpec) else EpsSpec.from_rational(e)
         for e in (PAPER_EPS if eps_list is None else eps_list)
     ]
     if not specs:
         raise ValueError("eps_list must be non-empty")
-    if worker_count > 1:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            return list(pool.map(lambda s: _row_for(s, policy), specs))
     return [_row_for(s, policy) for s in specs]
 
 

@@ -7,12 +7,15 @@ at three depths:
     ell_ps      ceil(1/(2 e eps))               closed form, near-minimal
     ell_star    min{ell >= 1 : phi(ell) <= 1/e + eps}   exactly minimal
 
-ell_star is located by bisection over [1, ell_ps]: the upper endpoint is
-guaranteed feasible by the closed-form bound, phi is strictly decreasing, and
-every probe compares an exact rational phi value against a certified
-enclosure of 1/e + eps.  The planner never touches floats, so the returned
-depths carry a proof rather than an estimate.  For eps >= 1/2 - 1/e the same
-path returns ell_star = 1 with no special casing.
+ell_star is located by one certified walk down from ell_ps: the start is
+feasible by the Polya-Szego bound, phi is strictly decreasing, and the walk
+stops at the first infeasible depth.  Since ell_star = 1/(2 e eps) - 5/12 +
+O(eps) sits within a unit of ell_ps, the walk costs ell_ps - ell_star + 2
+probes, two or three in practice.  Every probe compares an exact rational
+phi value against a certified enclosure of 1/e + eps.  The planner never
+touches floats, so the returned depths carry a proof rather than an
+estimate.  For eps >= 1/2 - 1/e the same path returns ell_star = 1 with no
+special casing.
 
 The sharp exponential certificate (exp of the three-term exponent against
 1 + e*eps) is sufficient but not necessary; certificate_sharp can come back
@@ -126,25 +129,28 @@ def _probe(
     return res.verdict is Verdict.LESS, res.bits_used
 
 
-def _ell_star_with_bits(
+def _ell_star_search(
     value: Fraction, policy: RefinementPolicy
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
+    """(ell_ps, ell_star, bits): one certified walk down from ell_ps.
+
+    The last feasible probe (at ell_star) and the infeasible one below it
+    (at ell_star - 1) are the two-sided minimality certificate; strict
+    decrease of phi rules out every smaller depth.
+    """
     ps, bits = _ell_ps_with_bits(value, policy)
     ok, b = _probe(ps, value, policy)
-    bits = max(bits, b)
     if not ok:
         # the closed-form bound guarantees feasibility at its own ceiling
         raise AssertionError(f"phi({ps}) > 1/e + {value}: upper bound broken")
-    lo, hi = 1, ps
-    while lo < hi:
-        mid = (lo + hi) // 2
-        ok, b = _probe(mid, value, policy)
+    star, bits = ps, max(bits, b)
+    while star > 1:
+        ok, b = _probe(star - 1, value, policy)
         bits = max(bits, b)
-        if ok:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, bits
+        if not ok:
+            break
+        star -= 1
+    return ps, star, bits
 
 
 def ell_star(
@@ -152,8 +158,7 @@ def ell_star(
     policy: RefinementPolicy = DEFAULT_POLICY,
 ) -> int:
     """The minimal depth with phi(ell) <= 1/e + eps, every probe certified."""
-    star, _ = _ell_star_with_bits(_eps_value(eps), policy)
-    return star
+    return _ell_star_search(_eps_value(eps), policy)[1]
 
 
 def certified_minimal(
@@ -164,8 +169,8 @@ def certified_minimal(
     """Direct two-sided minimality check for a claimed depth.
 
     True iff phi(ell) <= 1/e + eps and, when ell > 1, phi(ell - 1) > 1/e +
-    eps, both by certified comparison.  Unlike the bisection this does not
-    lean on monotonicity.
+    eps, both by certified comparison.  It shares nothing with the planner's
+    walk, so it checks a claimed depth independently.
     """
     value = _eps_value(eps)
     at, _ = _probe(ell, value, policy)
@@ -216,7 +221,7 @@ def asymptotic_residual(
     value = _eps_value(eps)
     if value > Fraction(1, 10):
         raise ValueError(f"asymptotic regime needs eps <= 1/10, got {value}")
-    star, _ = _ell_star_with_bits(value, policy)
+    star = _ell_star_search(value, policy)[1]
     enc = enclose_e(max(_RESIDUAL_BITS, policy.start_bits))
     target_lo = 1 / (2 * enc.hi * value) - Fraction(5, 12)
     target_hi = 1 / (2 * enc.lo * value) - Fraction(5, 12)
@@ -252,9 +257,12 @@ def plan(
 ) -> EllPlan:
     """Assemble the full depth plan for one slack value.
 
-    Deterministic for a fixed eps: the bisection path and every enclosure
-    depend only on eps and the policy ladder.  The minimality of ell_star is
-    re-certified directly (both sides) rather than inherited from the search.
+    Deterministic for a fixed eps: the walk and every enclosure depend only
+    on eps and the policy ladder.  The walk's final probes, feasible at
+    ell_star and infeasible at ell_star - 1, certify minimality from both
+    sides; starting from ell_ps, which Polya-Szego makes feasible, they cost
+    ell_ps - ell_star + 2 probes, and that gap is 0 or 1 on every tested
+    slack.
     """
     if isinstance(eps, str):
         spec = EpsSpec.parse(eps)
@@ -262,31 +270,14 @@ def plan(
         spec = eps
     else:
         spec = EpsSpec.from_rational(eps)
-    value = spec.eps
 
-    bf = ell_bf(spec)
-    ps, ps_bits = _ell_ps_with_bits(value, policy)
-    star, star_bits = _ell_star_with_bits(value, policy)
-    if star > ps:
-        raise AssertionError(f"ell_star {star} exceeded ell_ps {ps}")
-
-    ok_at, at_bits = _probe(star, value, policy)
-    if not ok_at:
-        raise AssertionError(f"phi({star}) > 1/e + {value} after search")
-    prev_bits = 0
-    if star > 1:
-        ok_prev, prev_bits = _probe(star - 1, value, policy)
-        if ok_prev:
-            raise AssertionError(f"ell_star {star} is not minimal")
-
-    cert = certificate_sharp(star, spec, policy)
-    bits = max(ps_bits, star_bits, at_bits, prev_bits, policy.start_bits)
+    ps, star, bits = _ell_star_search(spec.eps, policy)
     return EllPlan(
         eps=spec,
-        ell_bf=bf,
+        ell_bf=ell_bf(spec),
         ell_ps=ps,
         ell_star=star,
         rho_star=rho(star),
-        certificate_holds_at_star=cert,
-        precision_used=bits,
+        certificate_holds_at_star=certificate_sharp(star, spec, policy),
+        precision_used=max(bits, policy.start_bits),
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -421,16 +420,13 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
 
 
 def brute_force_opt_by_mask(
-    instance: CoverageInstance,
-    counter: Optional[OracleCounter] = None,
-    worker_count: int = 1,
+    instance: CoverageInstance, counter: Optional[OracleCounter] = None
 ) -> tuple[frozenset[str], Fraction]:
     """Second, independently coded enumerator: numeric mask order.
 
     Visits subsets in increasing bitmask order (a different order than the
-    depth-first enumerator), applies the same lexicographic tie-break
-    explicitly, and supports partitioned scanning with exact counter
-    aggregation.
+    depth-first enumerator) and applies the same lexicographic tie-break
+    explicitly.
     """
     _require_brute_size(instance)
     n = instance.n
@@ -443,46 +439,18 @@ def brute_force_opt_by_mask(
             return mask.bit_count() <= rank
         return all((mask & bm).bit_count() <= cap for bm, cap in blocks)
 
-    def scan(lo: int, hi: int) -> tuple[Optional[int], int, int]:
-        best_mask: Optional[int] = None
-        best_value = -1
-        ticks = 0
-        for mask in range(lo, hi):
-            if not independent(mask):
-                continue
-            ticks += 1
-            value = scaled.value(mask)
-            if value > best_value or (
-                value == best_value
-                and best_mask is not None
-                and _mask_indices(mask) < _mask_indices(best_mask)
-            ):
-                best_value, best_mask = value, mask
-        return best_mask, best_value, ticks
-
-    total = 1 << n
-    if worker_count <= 1:
-        results = [scan(0, total)]
-    else:
-        step = -(-total // worker_count)
-        spans = [(a, min(a + step, total)) for a in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            results = list(pool.map(lambda span: scan(*span), spans))
-
-    best_mask: Optional[int] = None
-    best_value = -1
-    for mask, value, ticks in results:
-        if counter is not None:
-            counter.count += ticks
-        if mask is None:
+    # the empty set comes first and always beats this sentinel
+    best_mask, best_value = 0, -1
+    for mask in range(1 << n):
+        if not independent(mask):
             continue
+        if counter is not None:
+            counter.tick()
+        value = scaled.value(mask)
         if value > best_value or (
-            value == best_value
-            and best_mask is not None
-            and _mask_indices(mask) < _mask_indices(best_mask)
+            value == best_value and _mask_indices(mask) < _mask_indices(best_mask)
         ):
             best_value, best_mask = value, mask
-    assert best_mask is not None  # the empty set is always independent
     return _names_of(instance, best_mask), Fraction(best_value, scaled.denominator)
 
 

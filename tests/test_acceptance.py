@@ -70,8 +70,8 @@ def test_criterion_1_table_reproduction():
 
 def test_criterion_2_bound_certification_sweep():
     start = time.perf_counter()
-    reports = verify_bounds(list(BoundKind), 1, 10**4, worker_count=4)
-    ordering = verify_bound_ordering(2, 10**4, worker_count=4)
+    reports = verify_bounds(list(BoundKind), 1, 10**4)
+    ordering = verify_bound_ordering(2, 10**4)
     elapsed = time.perf_counter() - start
 
     sweep_ok = all(r.all_ok for r in reports.values())

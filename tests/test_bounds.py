@@ -12,21 +12,19 @@ from ellplan.certified import (
     Verdict,
     cmp_certified,
     const,
+    enclose_log1p,
     exp_of,
 )
 from ellplan.bounds import (
     BoundKind,
-    PhiValue,
     bound_factor,
     bound_value,
     check_expansion_agreement,
     check_log_pade,
     check_log_tail4,
     check_log_weak,
-    log_tail4_slack,
     ordering_exception_at_one,
     phi,
-    phi_above_inv_e,
     phi_floor_sweep,
     phi_step_down_certificate,
     phi_strictly_decreasing,
@@ -51,6 +49,7 @@ class TestPhi:
     def test_rho(self):
         assert rho(1) == Fraction(1, 2)
         assert rho(2) == Fraction(5, 9)
+        assert phi(3) == Fraction(27, 64) and rho(3) == Fraction(37, 64)
 
     def test_rho_2_beats_tenth_slack_target(self):
         from ellplan.certified import inv_e
@@ -66,10 +65,6 @@ class TestPhi:
     def test_cache_boundary_consistent(self):
         assert phi(2048) == Fraction(2048**2048, 2049**2048)
         assert phi(2049) == Fraction(2049**2049, 2050**2049)
-
-    def test_phivalue(self):
-        pv = PhiValue.at(3)
-        assert pv.value == Fraction(27, 64) and pv.rho == Fraction(37, 64)
 
     @given(st.integers(min_value=1, max_value=3000))
     @settings(max_examples=60)
@@ -123,11 +118,6 @@ class TestVerifyBound:
             BoundKind.POLYA_SZEGO, 1, 50
         )
         assert combined[BoundKind.SHARP] == verify_bound(BoundKind.SHARP, 1, 50)
-
-    def test_worker_count_does_not_change_report(self):
-        seq = verify_bounds([BoundKind.POLYA_SZEGO], 1, 97, worker_count=1)
-        par = verify_bounds([BoundKind.POLYA_SZEGO], 1, 97, worker_count=4)
-        assert seq == par
 
 
 class TestOrdering:
@@ -225,7 +215,8 @@ class TestLogChecks:
 
     def test_tail4_tight_at_zero(self):
         t = Fraction(1, 1024)
-        slack = log_tail4_slack(t)
+        poly = t - t**2 / 2 + t**3 / 3 - t**4 / 4
+        slack = enclose_log1p(t, 128).shift(-poly)
         assert slack.lo > 0
         assert slack.hi < 2 * t**5  # consistent with a t^4/(1+t) derivative
 
@@ -281,7 +272,8 @@ class TestShapeOfPhi:
 
     @pytest.mark.parametrize("ell", [1, 2, 10, 100, 5000, 10**4])
     def test_floor_above_inv_e(self, ell):
-        assert phi_above_inv_e(ell).verdict is Verdict.GREATER
+        (entry,) = phi_floor_sweep(ell, ell).entries
+        assert entry.verdict is Verdict.GREATER and entry.ok
 
     def test_floor_full_range(self):
         # phi stays above 1/e over the whole default sweep range; margins
@@ -290,8 +282,3 @@ class TestShapeOfPhi:
         assert report.all_ok
         assert all(e.verdict is Verdict.GREATER for e in report.entries)
         assert all(e.bits_used == 32 for e in report.entries)
-
-    def test_floor_sweep_worker_split_matches(self):
-        one = phi_floor_sweep(50, 130)
-        many = phi_floor_sweep(50, 130, worker_count=4)
-        assert one == many

@@ -33,7 +33,6 @@ class TestRunConfig:
         config = RunConfig()
         assert config.policy.start_bits == 32
         assert config.policy.cap_bits == 4096
-        assert config.workers == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -42,7 +41,6 @@ class TestRunConfig:
             {"precision_start_bits": 64, "precision_cap_bits": 32},
             {"precision_cap_bits": 2**17},
             {"output_format": "yaml"},
-            {"worker_count": 0},
         ],
     )
     def test_invalid(self, kwargs):

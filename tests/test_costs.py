@@ -16,9 +16,7 @@ from ellplan.costs import (
     decimal_digit_count,
     decomposition_exponents,
     format_eps,
-    log10_of_2_enclosure,
     mantissa_adjacent,
-    pow2_digit_count_certified,
     render_table_csv,
     render_table_text,
     reproduce_table,
@@ -47,17 +45,10 @@ class TestDigitCount:
         assert decimal_digit_count(n) == len(str(n))
 
     def test_pow2_sweep_matches_certified_formula(self):
-        # digits(2^d) = floor(d log10 2) + 1, with the floor certified from
-        # an enclosure of log10(2); spot the whole working range
+        # the bit-length estimate of the digit count can be off by one and
+        # the bracketing must correct it; spot the whole working range
         for delta in range(0, 10**4 + 1, 7):
-            assert decimal_digit_count(1 << delta) == pow2_digit_count_certified(delta)
-
-    def test_log10_of_2_enclosure(self):
-        enc = log10_of_2_enclosure(64)
-        with mp.workdps(40):
-            oracle = mpf_to_fraction(mp.log(2) / mp.log(10))
-        assert enc.lo < oracle < enc.hi
-        assert enc.width < Fraction(1, 2**60)
+            assert decimal_digit_count(1 << delta) == len(str(1 << delta))
 
 
 class TestBigMagnitude:
@@ -225,9 +216,6 @@ class TestReproduceTable:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             reproduce_table([])
-
-    def test_worker_count_invariant(self):
-        assert reproduce_table() == reproduce_table(worker_count=4)
 
 
 class TestCheckAgainstExpected:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import ellplan.planner
 from ellplan.bounds import phi
 from ellplan.certified import (
     PrecisionExhausted,
@@ -264,6 +265,21 @@ class TestPlan:
     def test_reference_triples(self, text, triple):
         p = plan(text)
         assert (p.ell_bf, p.ell_ps, p.ell_star) == triple
+
+    def test_probe_count_tracks_the_gap(self, monkeypatch):
+        # the walk down from ell_ps probes ell_ps .. ell_star - 1, and the
+        # sharp certificate at ell_star adds one comparison
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cmp_certified(*args, **kwargs)
+
+        monkeypatch.setattr(ellplan.planner, "cmp_certified", counting)
+        for text in ("1e-1", "5e-2", "1e-2", "1e-3", "1e-4"):
+            calls.clear()
+            p = plan(text)
+            assert len(calls) <= (p.ell_ps - p.ell_star) + 2 + 1, text
 
     def test_rho_star_is_exact_complement(self):
         p = plan("1e-2")

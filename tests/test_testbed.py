@@ -294,19 +294,6 @@ class TestBruteForce:
         for instance in random_instances(20260814 + 1, 40):
             assert brute_force_opt(instance) == brute_force_opt_by_mask(instance)
 
-    def test_worker_count_never_changes_result(self):
-        for instance in random_instances(5150, 10):
-            counters = []
-            results = []
-            for workers in (1, 2, 4):
-                counter = OracleCounter()
-                results.append(
-                    brute_force_opt_by_mask(instance, counter, worker_count=workers)
-                )
-                counters.append(counter.count)
-            assert results[0] == results[1] == results[2]
-            assert counters[0] == counters[1] == counters[2]
-
     def test_tie_break_is_lex_smallest(self):
         instance = CoverageInstance(
             (("a", frac(1)),),
