@@ -1,7 +1,9 @@
 """The ratio-gap function phi(ell) = (1+1/ell)^(-ell) and its certified bounds.
 
-phi is always evaluated as an exact rational power; the bounds that involve e
-stay symbolic until a certified comparison forces them into enclosures.  Four
+Every certified claim about phi compares log_e_phi(ell) = log(e*phi(ell)) =
+1 - ell*log1p(1/ell) with the log of the claim's e-scaled right side, as the
+paper's proofs do, so no ell-digit power is formed.  The exact phi and rho
+remain where an exact value is the output or a test's reference.  Four
 upper-bound families are supported:
 
     loose-recip   1/(e(1-1/ell))                          ell >= 2
@@ -18,7 +20,6 @@ exactly at ell = 2, so the certified chain runs
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,14 +35,11 @@ from ellplan.certified import (
     Verdict,
     cmp_certified,
     const,
-    enclose_e,
     enclose_exp,
     exp_of,
     inv_e,
     log1p_of,
 )
-
-_PHI_CACHE_LIMIT = 2048  # cache small values; sweeps recompute the huge ones
 
 
 def _check_ell(ell: int) -> int:
@@ -60,17 +58,10 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return f
 
 
-@functools.lru_cache(maxsize=None)
-def _phi_cached(ell: int) -> Fraction:
-    # consecutive integers are coprime, so their ell-th powers are too
-    return _coprime_fraction(ell**ell, (ell + 1) ** ell)
-
-
 def phi(ell: int) -> Fraction:
     """Exact value of (1+1/ell)^(-ell) = ell^ell / (ell+1)^ell."""
     ell = _check_ell(ell)
-    if ell <= _PHI_CACHE_LIMIT:
-        return _phi_cached(ell)
+    # consecutive integers are coprime, so their ell-th powers are too
     return _coprime_fraction(ell**ell, (ell + 1) ** ell)
 
 
@@ -79,6 +70,12 @@ def rho(ell: int) -> Fraction:
     value = phi(ell)
     # gcd(d - n, d) = gcd(n, d) = 1, so skip the redundant normalization
     return _coprime_fraction(value.denominator - value.numerator, value.denominator)
+
+
+def log_e_phi(ell: int) -> RealExpr:
+    """log(e*phi(ell)) = 1 - ell*log1p(1/ell); below log(c) iff phi(ell) < c/e."""
+    ell = _check_ell(ell)
+    return 1 - const(ell) * log1p_of(Fraction(1, ell))
 
 
 class BoundKind(Enum):
@@ -116,6 +113,13 @@ def bound_factor(kind: BoundKind, ell: int) -> RealExpr:
 def bound_value(kind: BoundKind, ell: int) -> RealExpr:
     """Descriptor of the upper bound itself, comparable to any precision."""
     return bound_factor(kind, ell) * inv_e()
+
+
+def _log_bound_factor(kind: BoundKind, ell: int) -> RealExpr:
+    # log of bound_factor: the sharp exponent itself, else log1p(factor - 1)
+    if kind is BoundKind.SHARP:
+        return const(sharp_exponent(ell))
+    return log1p_of(bound_factor(kind, ell).exact() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +167,6 @@ class SweepReport:
         return "; ".join(parts)
 
 
-def _bound_envelope(kind: BoundKind, ell: int, bits: int) -> Enclosure:
-    """Rational interval certified to contain bound(kind, ell)."""
-    e_enc = enclose_e(bits)
-    if kind is BoundKind.SHARP:
-        f_enc = enclose_exp(sharp_exponent(ell), bits)
-        return Enclosure(f_enc.lo / e_enc.hi, f_enc.hi / e_enc.lo)
-    f = bound_factor(kind, ell).exact()
-    return Enclosure(f / e_enc.hi, f / e_enc.lo)
-
-
-def _phi_vs_bound(
-    value: Fraction, kind: BoundKind, ell: int, policy: RefinementPolicy
-) -> SweepEntry:
-    # Same disjointness semantics as cmp_certified, but the bound is turned
-    # into a rational envelope once per rung, which keeps sweeps over 10^4
-    # values of ell cheap.
-    for bits in policy.ladder():
-        env = _bound_envelope(kind, ell, bits)
-        if value < env.lo:
-            return SweepEntry(ell, Verdict.LESS, bits, True)
-        if value > env.hi:
-            return SweepEntry(ell, Verdict.GREATER, bits, False)
-    return SweepEntry(ell, Verdict.UNRESOLVED, policy.cap_bits, False)
-
-
 def verify_bounds(
     kinds: Sequence[BoundKind],
     lo: int,
@@ -196,19 +175,20 @@ def verify_bounds(
 ) -> dict[BoundKind, SweepReport]:
     """Certify phi(ell) <= bound(kind, ell) for each kind over [lo, hi].
 
-    One pass computes each phi(ell) once and feeds it to every kind whose
-    domain covers that ell, so sweeping several kinds costs little more than
-    sweeping one.  Entries are sorted by ell.
+    Each check compares log_e_phi(ell) with the log of the kind's e-scaled
+    factor; LESS means phi(ell) < bound(kind, ell).  Entries are sorted by ell.
     """
     _check_ell(lo)
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
     entries: dict[BoundKind, list[SweepEntry]] = {kind: [] for kind in kinds}
     for ell in range(lo, hi + 1):
-        value = phi(ell)
+        value = log_e_phi(ell)
         for kind, out in entries.items():
             if ell >= kind.min_ell:
-                out.append(_phi_vs_bound(value, kind, ell, policy))
+                cmp = cmp_certified(value, _log_bound_factor(kind, ell), policy)
+                ok = cmp.verdict is Verdict.LESS
+                out.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
     return {
         kind: SweepReport(
             label=f"phi <= {kind.value} on [{max(lo, kind.min_ell)}, {hi}]",
@@ -436,30 +416,16 @@ def phi_floor_sweep(
 ) -> SweepReport:
     """Certify phi(ell) > 1/e for every ell in [lo, hi].
 
-    The reciprocal envelope [1/e_hi, 1/e_lo] is shared by the whole range,
-    so the per-ell cost is one exact comparison.  The margin phi(ell) - 1/e is
-    about 1/(2 e ell), far above 2^-32 for any ell this sweep will see, so
-    the first rung almost always certifies.
+    Each check compares log_e_phi(ell) with 0; GREATER means phi(ell) > 1/e.
+    The margin, about 1/(2 ell), is far above 2^-32 for any ell this sweep
+    will see, so the first rung almost always certifies.
     """
     _check_ell(lo)
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
-
-    rungs = [
-        (bits, Enclosure(1 / enclose_e(bits).hi, 1 / enclose_e(bits).lo))
-        for bits in policy.ladder()
-    ]
-
-    def classify(ell: int) -> SweepEntry:
-        value = phi(ell)
-        for bits, env in rungs:
-            if value > env.hi:
-                return SweepEntry(ell, Verdict.GREATER, bits, True)
-            if value < env.lo:
-                return SweepEntry(ell, Verdict.LESS, bits, False)
-        return SweepEntry(ell, Verdict.UNRESOLVED, policy.cap_bits, False)
-
-    return SweepReport(
-        label=f"phi > 1/e on [{lo}, {hi}]",
-        entries=tuple(classify(ell) for ell in range(lo, hi + 1)),
-    )
+    entries = []
+    for ell in range(lo, hi + 1):
+        cmp = cmp_certified(log_e_phi(ell), const(0), policy)
+        ok = cmp.verdict is Verdict.GREATER
+        entries.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
+    return SweepReport(label=f"phi > 1/e on [{lo}, {hi}]", entries=tuple(entries))

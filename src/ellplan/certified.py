@@ -236,7 +236,9 @@ def _artanh_core(t: Fraction, n: int) -> Enclosure:
     return Enclosure(s, s + tail)
 
 
-@functools.lru_cache(maxsize=8192)
+# Hits come from comparisons at the same ell or eps, which run close together;
+# a larger cache would mostly hold planner probes' one-off entries (~1 KB each).
+@functools.lru_cache(maxsize=1024)
 def enclose_log1p(x: RationalLike, precision_bits: int) -> Enclosure:
     """Enclosure of log(1+x) for rational x >= 0.
 
@@ -370,14 +372,22 @@ class _Exp(RealExpr):
 
 
 class _Log1p(RealExpr):
-    def __init__(self, arg: Fraction):
+    def __init__(self, arg: Union[Fraction, RealExpr]):
         self.arg = arg
 
     def enclose(self, precision_bits: int) -> Enclosure:
-        return enclose_log1p(self.arg, precision_bits)
+        if isinstance(self.arg, Fraction):
+            return enclose_log1p(self.arg, precision_bits)
+        # log1p is increasing, so the ends of the argument's enclosure bound it
+        enc = self.arg.enclose(precision_bits + _EXPR_CHILD_PAD)
+        if enc.lo < 0:
+            raise ZeroStraddle(f"log1p argument not yet separated from 0: {enc}")
+        lo = enclose_log1p(enc.lo, precision_bits).lo
+        return Enclosure(lo, enclose_log1p(enc.hi, precision_bits).hi)
 
     def describe(self) -> str:
-        return f"log1p({self.arg})"
+        arg = self.arg if isinstance(self.arg, Fraction) else self.arg.describe()
+        return f"log1p({arg})"
 
 
 class _Add(RealExpr):
@@ -398,6 +408,12 @@ class _Mul(RealExpr):
 
     def enclose(self, precision_bits: int) -> Enclosure:
         p = precision_bits + _EXPR_CHILD_PAD
+        # an exact factor gives the four-product interval at half the cost
+        xa, xb = self.a.exact(), self.b.exact()
+        if xa is not None:
+            return self.b.enclose(p).scale(xa)
+        if xb is not None:
+            return self.a.enclose(p).scale(xb)
         return self.a.enclose(p) * self.b.enclose(p)
 
     def describe(self) -> str:
@@ -437,7 +453,12 @@ def exp_of(arg: RationalLike) -> RealExpr:
     return _Exp(arg)
 
 
-def log1p_of(arg: RationalLike) -> RealExpr:
+def log1p_of(arg: Union[RationalLike, RealExpr]) -> RealExpr:
+    """log(1+arg) for arg >= 0; a non-rational arg is enclosed first."""
+    if isinstance(arg, RealExpr):
+        if arg.exact() is None:
+            return _Log1p(arg)
+        arg = arg.exact()
     arg = Fraction(arg)
     if arg < 0:
         raise ValueError("log1p_of requires arg >= 0")

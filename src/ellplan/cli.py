@@ -30,7 +30,6 @@ from ellplan.bounds import (
     check_log_tail4,
     check_log_weak,
     ordering_exception_at_one,
-    phi,
     verify_bound_ordering,
     verify_bounds,
 )
@@ -38,9 +37,6 @@ from ellplan.certified import (
     PrecisionExhausted,
     RefinementPolicy,
     Verdict,
-    cmp_certified,
-    const,
-    inv_e,
 )
 from ellplan.costs import (
     check_against_expected,
@@ -48,7 +44,15 @@ from ellplan.costs import (
     render_table_text,
     reproduce_table,
 )
-from ellplan.planner import EpsSpec, certificate_sharp, ell_bf, ell_ps, ell_star, plan
+from ellplan.planner import (
+    EpsSpec,
+    certificate_sharp,
+    depth_comparison,
+    ell_bf,
+    ell_ps,
+    ell_star,
+    plan,
+)
 from ellplan.records import InstanceCheck, render_line, render_record
 from ellplan.testbed import (
     BUNDLED_INSTANCES,
@@ -443,9 +447,7 @@ def _cmd_certify(args, config: RunConfig, out) -> int:
         raise ValueError("--ell must be at least 1")
     spec = EpsSpec.parse(args.eps)
     holds = certificate_sharp(args.ell, spec, config.policy)
-    direct = cmp_certified(
-        const(phi(args.ell)), inv_e() + const(spec.eps), config.policy
-    )
+    direct = depth_comparison(args.ell, spec, config.policy)
     if config.output_format == "structured":
         print(
             render_line(

@@ -11,11 +11,12 @@ ell_star is located by one certified walk down from ell_ps: the start is
 feasible by the Polya-Szego bound, phi is strictly decreasing, and the walk
 stops at the first infeasible depth.  Since ell_star = 1/(2 e eps) - 5/12 +
 O(eps) sits within a unit of ell_ps, the walk costs ell_ps - ell_star + 2
-probes, two or three in practice.  Every probe compares an exact rational
-phi value against a certified enclosure of 1/e + eps.  The planner never
-touches floats, so the returned depths carry a proof rather than an
-estimate.  For eps >= 1/2 - 1/e the same path returns ell_star = 1 with no
-special casing.
+probes, two or three in practice.  Every probe is depth_comparison, the one
+place that encodes phi(ell) <= 1/e + eps, as log(e*phi(ell)) <= log1p(e*eps)
+by certified enclosures; phi is rational and 1/e + eps is not, so the sides
+never tie.  The planner never touches floats, so the returned depths carry a
+proof rather than an estimate.  For eps >= 1/2 - 1/e the same path returns
+ell_star = 1 with no special casing.
 
 The sharp exponential certificate (exp of the three-term exponent against
 1 + e*eps) is sufficient but not necessary; certificate_sharp can come back
@@ -29,10 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from ellplan.bounds import phi, rho, sharp_exponent
+from ellplan.bounds import log_e_phi, rho, sharp_exponent
 from ellplan.certified import (
     DEFAULT_POLICY,
     E,
+    Comparison,
     Enclosure,
     PrecisionExhausted,
     RefinementPolicy,
@@ -41,7 +43,7 @@ from ellplan.certified import (
     const,
     enclose_e,
     exp_of,
-    inv_e,
+    log1p_of,
 )
 
 RationalLike = Union[int, Fraction]
@@ -117,11 +119,26 @@ def ell_ps(
     return result
 
 
+def depth_comparison(
+    ell: int,
+    eps: Union[EpsSpec, RationalLike],
+    policy: RefinementPolicy = DEFAULT_POLICY,
+) -> Comparison:
+    """Certified comparison of phi(ell) with 1/e + eps, made in the log domain.
+
+    Compares log(e*phi(ell)) with log1p(e*eps); LESS means depth ell
+    suffices, GREATER that it is too small.  The verdict is never EQUAL and
+    may be UNRESOLVED at the policy's cap.
+    """
+    target = log1p_of(E * const(_eps_value(eps)))
+    return cmp_certified(log_e_phi(ell), target, policy)
+
+
 def _probe(
     ell: int, target_hint: Fraction, policy: RefinementPolicy
 ) -> tuple[bool, int]:
     """Certified test of phi(ell) <= 1/e + eps; returns (verdict, bits)."""
-    res = cmp_certified(const(phi(ell)), inv_e() + const(target_hint), policy)
+    res = depth_comparison(ell, target_hint, policy)
     if res.verdict is Verdict.UNRESOLVED:
         raise PrecisionExhausted(
             f"phi({ell}) vs 1/e + {target_hint} unresolved at {policy.cap_bits} bits"

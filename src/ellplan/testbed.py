@@ -30,12 +30,9 @@ from ellplan.certified import (
     PrecisionExhausted,
     RefinementPolicy,
     Verdict,
-    cmp_certified,
-    const,
     enclose_e,
-    inv_e,
 )
-from ellplan.planner import EpsSpec, RationalLike, ell_star
+from ellplan.planner import EpsSpec, RationalLike, depth_comparison, ell_star
 
 BRUTE_FORCE_LIMIT = 20  # 2^n enumeration
 CHECK_LIMIT = 12  # 3^n subset pairs
@@ -56,9 +53,6 @@ class OracleCounter:
 
     def tick(self) -> None:
         self.count += 1
-
-    def add(self, other: "OracleCounter") -> None:
-        self.count += other.count
 
 
 @dataclass(frozen=True)
@@ -547,9 +541,8 @@ def ratio_report(
 
     star = ell_star(spec, policy)
     rho_star = rho(star)
-    res = cmp_certified(
-        const(rho_star), const(1) - inv_e() - const(value), policy
-    )
+    # rho > 1 - 1/e - eps exactly when phi < 1/e + eps
+    res = depth_comparison(star, spec, policy)
     if res.verdict is Verdict.UNRESOLVED:
         raise PrecisionExhausted(
             f"rho({star}) vs 1 - 1/e - {value} unresolved at {policy.cap_bits} bits"
@@ -562,7 +555,7 @@ def ratio_report(
         eps=spec,
         ell_star=star,
         rho_star=rho_star,
-        rho_certified=res.verdict is Verdict.GREATER,
+        rho_certified=res.verdict is Verdict.LESS,
         threshold=threshold,
         f_opt=f_opt,
         opt_set=tuple(sorted(opt_set, key=names.index)),

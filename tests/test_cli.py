@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from io import StringIO
 
@@ -249,6 +250,16 @@ class TestCertifyCommand:
 
     def test_bad_ell_is_usage_error(self):
         assert run("certify", "--ell", "0", "--eps", "1e-2")[0] == EXIT_USAGE
+
+    def test_deep_certify_answers_in_bounded_time(self):
+        # ell_star(1e-6) = 183940: the comparison must not cost the
+        # million-digit power ell^ell / (ell+1)^ell
+        start = time.perf_counter()
+        code, text = run("certify", "--ell", "1000000", "--eps", "1e-6")
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK, text
+        assert elapsed < 1.0, f"certify took {elapsed:.2f}s"
+        assert run("certify", "--ell", "183939", "--eps", "1e-6")[0] == EXIT_FAILURE
 
 
 class TestTestbedCommand:

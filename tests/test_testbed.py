@@ -195,14 +195,6 @@ class TestFEval:
         with pytest.raises(ValueError, match="not ground"):
             f_eval(three_cover, {"nope"})
 
-    def test_counter_add_aggregates(self):
-        a, b = OracleCounter(), OracleCounter()
-        a.tick()
-        b.tick()
-        b.tick()
-        a.add(b)
-        assert a.count == 3
-
     @given(st.integers(0, 2**6 - 1), st.integers(0, 10**6))
     def test_scaled_table_matches_oracle(self, mask, seed):
         import random
