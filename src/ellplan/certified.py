@@ -1,17 +1,25 @@
-"""Exact rational enclosures of e, exp, and log(1+x), and certified comparison.
+"""Certified enclosures of e, exp and log(1+x), and certified comparison.
 
-Everything rests on ``fractions.Fraction``: interval endpoints are exact
-rationals, every series is cut off with an explicit tail bound, and a Less or
+The public builders enclose_e, enclose_exp and enclose_log1p return
+Enclosure intervals with exact Fraction endpoints.  Every series is cut off
+with an explicit tail bound, and refining the precision never moves an
+endpoint the wrong way, i.e. ``enclose(x, p2)`` is a subset of
+``enclose(x, p1)`` whenever ``p2 >= p1``.  Each builder achieves this by
+choosing the minimal series order that meets the width target; the
+per-order interval families are nested by construction, and a minimal order
+is a nondecreasing function of the precision demanded.  They serve callers
+that need an exact rational interval, and they are the reference the
+fixed-point layer below is tested against.
+
+Real-value descriptors (RealExpr) and cmp_certified evaluate in integer
+fixed point instead: an interval at scale w is a pair of ints (lo, hi)
+standing for [lo * 2^-w, hi * 2^-w], and every step rounds lo down and hi
+up, so operands stay near w bits.  The same series and tail bounds as the
+builders apply.  Fixed-point rounding is not monotone in w, so
+cmp_certified intersects each rung with the previous one, and the
+enclosures it compares are nested as the precision grows.  A Less or
 Greater verdict is only ever produced from two provably disjoint intervals.
 No floating point appears on any certified path.
-
-The three enclosure builders share one structural guarantee that the rest of
-the package leans on: refining the precision never moves an endpoint the
-wrong way, i.e. ``enclose(x, p2)`` is a subset of ``enclose(x, p1)`` whenever
-``p2 >= p1``.  Each builder achieves this by choosing the minimal series
-order that meets the width target; the per-order interval families are nested
-by construction, and a minimal order is a nondecreasing function of the
-precision demanded.
 """
 
 from __future__ import annotations
@@ -25,6 +33,11 @@ from typing import Iterator, Optional, Union
 Rational = Fraction
 
 RationalLike = Union[Fraction, int]
+
+
+def _as_fraction(x: RationalLike) -> Fraction:
+    # Fraction(f) of a Fraction rebuilds it; descriptors are built per check
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class EncloseError(Exception):
@@ -283,9 +296,147 @@ def enclose_exp_interval(enc: Enclosure, precision_bits: int) -> Enclosure:
 
 
 # ---------------------------------------------------------------------------
+# fixed-point kernels
+#
+# Intervals (lo, hi) at scale w, as described in the module docstring:
+# Python's >> and // floor, and _ceil_div ceils.  Bounded-size endpoints
+# follow Arb (F. Johansson, "Arb: efficient arbitrary-precision
+# midpoint-radius interval arithmetic", IEEE TC 2017), kept as a plain
+# [lo, hi] pair.  The widths are about 2^-w; correctness never depends on the
+# extra working bits a kernel chooses, only tightness does.
+
+# Extra working bits of the exp kernel: Taylor rounding and the squarings.
+_EXP_PAD = 16
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _round_out(lo: int, hi: int, shift: int) -> tuple[int, int]:
+    """Move an interval from scale w + shift down to scale w, outward."""
+    return lo >> shift, -(-hi >> shift)
+
+
+def _rational_fixed(q: Fraction, w: int) -> tuple[int, int]:
+    p, d = q.numerator, q.denominator
+    return (p << w) // d, _ceil_div(p << w, d)
+
+
+@functools.lru_cache(maxsize=64)
+def _e_fixed(w: int) -> tuple[int, int]:
+    enc = enclose_e(w)
+    return _rational_fixed(enc.lo, w)[0], _rational_fixed(enc.hi, w)[1]
+
+
+def _artanh_fixed(tn: int, td: int, w: int) -> tuple[int, int]:
+    # artanh(t) for 0 < t = tn/td <= 1/3, the integer twin of _artanh_core:
+    # after the term t^(2n+1)/(2n+1) the odd powers are dominated by a
+    # geometric series of ratio t^2, so the tail is below
+    # t^(2n+3) / ((2n+3) (1 - t^2)).  Terms are added until the next one is
+    # under an ulp.
+    t_lo = (tn << w) // td
+    t_hi = _ceil_div(tn << w, td)
+    t2_lo = t_lo * t_lo >> w
+    t2_hi = -(-t_hi * t_hi >> w)
+    lo = p_lo = t_lo
+    hi = p_hi = t_hi
+    d = 1
+    while True:
+        d += 2
+        p_lo = p_lo * t2_lo >> w
+        p_hi = -(-p_hi * t2_hi >> w)
+        if p_hi <= d:
+            break
+        lo += p_lo // d
+        hi += _ceil_div(p_hi, d)
+    return lo, hi + _ceil_div(p_hi << w, d * ((1 << w) - t2_hi))
+
+
+@functools.lru_cache(maxsize=64)
+def _artanh_third(w: int) -> tuple[int, int]:
+    return _artanh_fixed(1, 3, w)
+
+
+# Keyed like enclose_log1p: the four bound kinds of one ell, and the probes of
+# one eps, share an evaluation per rung.
+@functools.lru_cache(maxsize=1024)
+def _log1p_fixed(num: int, den: int, w: int) -> tuple[int, int]:
+    """log(1 + num/den) for num >= 0, den > 0, at scale w.
+
+    As in enclose_log1p, 1+x = 2^k * m with m in [1, 2) (k = 0 for x <= 1),
+    and log(1+x) = 2 artanh((m-1)/(m+1)) + 2k artanh(1/3); both artanh
+    arguments are at most 1/3.
+    """
+    if num == 0:
+        return 0, 0
+    top = num + den
+    k = (top // den).bit_length() - 1 if num > den else 0
+    base = den << k
+    wp = w + k.bit_length() + 2  # room for the factor 2k on log 2
+    lo = hi = 0
+    if top != base:
+        lo, hi = _artanh_fixed(top - base, top + base, wp)
+    if k:
+        l2_lo, l2_hi = _artanh_third(wp)
+        lo += k * l2_lo
+        hi += k * l2_hi
+    return _round_out(2 * lo, 2 * hi, wp - w)
+
+
+def _exp_fixed(p: int, q: int, w: int) -> tuple[int, int]:
+    """exp(p/q) for p != 0, q > 0, at scale w.
+
+    As in enclose_exp: |x| is halved m times into (0, 1/2], enclosed by a
+    Taylor sum with the tail 2 y^(n+1)/(n+1)!, squared back m times, and
+    inverted for negative x.  The working scale absorbs the m doublings of
+    relative error and, for positive x, the integer bits of exp(x).
+    """
+    negative = p < 0
+    p = abs(p)
+    m = max(0, (2 * p).bit_length() - q.bit_length())
+    while 2 * p > q << m:
+        m += 1
+    magnitude = 0 if negative else (3 * p) // (2 * q) + 1  # 1.5 > log2(e)
+    wp = w + m + magnitude + _EXP_PAD
+    den = q << m
+    y_lo = (p << wp) // den
+    y_hi = _ceil_div(p << wp, den)
+    lo = hi = t_lo = t_hi = 1 << wp
+    k = 0
+    while t_hi > 1:
+        k += 1
+        t_lo = t_lo * y_lo // (k << wp)
+        t_hi = _ceil_div(t_hi * y_hi, k << wp)
+        lo += t_lo
+        hi += t_hi
+    # the terms after y^k/k! fall by a ratio of at most y <= 1/2
+    hi += _ceil_div(2 * t_hi * y_hi, (k + 1) << wp)
+    for _ in range(m):
+        lo = lo * lo >> wp
+        hi = -(-hi * hi >> wp)
+    if negative:
+        lo, hi = (1 << 2 * wp) // hi, _ceil_div(1 << 2 * wp, lo)
+    return _round_out(lo, hi, wp - w)
+
+
+# ---------------------------------------------------------------------------
 # real-value descriptors
 
-_EXPR_CHILD_PAD = 2  # extra bits handed to children of compound nodes
+
+def _working_scale(bits: int) -> int:
+    """The fixed-point scale w at which a rung of the ladder evaluates.
+
+    A rung of b bits evaluates b - 4 guard bits finer, at least 8 and at
+    most 40, so its enclosures sit well inside the 2^-b a rung promises.
+    The public series enclosures stop at a minimal order whose width often
+    falls far below 2^-b, and the guard matches that: no sweep comparison up
+    to ell = 10^4 and no planner probe needs a higher rung than those
+    enclosures did (at 32 bits, w = 60; w = 57 is the least that resolves
+    every sweep).  A small rung still cannot separate a gap far below 2^-b:
+    at 16 bits (w = 28) a gap of 2^-29.6 stays unresolved.
+    """
+    return bits + min(max(bits - 4, 8), 40)
 
 
 class RealExpr:
@@ -293,10 +444,20 @@ class RealExpr:
 
     Rational constants fold eagerly, so expressions that are secretly
     rational (for example exp(0), or 1 - 2*(1/2)) compare exactly instead of
-    through enclosures.
+    through enclosures.  Other nodes evaluate as fixed-point intervals.
     """
 
     def enclose(self, precision_bits: int) -> Enclosure:
+        """The enclosure cmp_certified compares at this rung, as rationals."""
+        x = self.exact()
+        if x is not None:
+            return Enclosure.point(x)
+        w = _working_scale(precision_bits)
+        lo, hi = self._fixed(w)
+        return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
+
+    def _fixed(self, w: int) -> tuple[int, int]:
+        """Fixed-point interval at scale w; may raise ZeroStraddle."""
         raise NotImplementedError
 
     def exact(self) -> Optional[Fraction]:
@@ -340,10 +501,10 @@ class RealExpr:
 
 class _Const(RealExpr):
     def __init__(self, value: RationalLike):
-        self.value = Fraction(value)
+        self.value = _as_fraction(value)
 
-    def enclose(self, precision_bits: int) -> Enclosure:
-        return Enclosure.point(self.value)
+    def _fixed(self, w: int) -> tuple[int, int]:
+        return _rational_fixed(self.value, w)
 
     def exact(self) -> Optional[Fraction]:
         return self.value
@@ -353,8 +514,8 @@ class _Const(RealExpr):
 
 
 class _EulerE(RealExpr):
-    def enclose(self, precision_bits: int) -> Enclosure:
-        return enclose_e(precision_bits)
+    def _fixed(self, w: int) -> tuple[int, int]:
+        return _e_fixed(w)
 
     def describe(self) -> str:
         return "e"
@@ -364,8 +525,8 @@ class _Exp(RealExpr):
     def __init__(self, arg: Fraction):
         self.arg = arg
 
-    def enclose(self, precision_bits: int) -> Enclosure:
-        return enclose_exp(self.arg, precision_bits)
+    def _fixed(self, w: int) -> tuple[int, int]:
+        return _exp_fixed(self.arg.numerator, self.arg.denominator, w)
 
     def describe(self) -> str:
         return f"exp({self.arg})"
@@ -375,15 +536,15 @@ class _Log1p(RealExpr):
     def __init__(self, arg: Union[Fraction, RealExpr]):
         self.arg = arg
 
-    def enclose(self, precision_bits: int) -> Enclosure:
+    def _fixed(self, w: int) -> tuple[int, int]:
         if isinstance(self.arg, Fraction):
-            return enclose_log1p(self.arg, precision_bits)
-        # log1p is increasing, so the ends of the argument's enclosure bound it
-        enc = self.arg.enclose(precision_bits + _EXPR_CHILD_PAD)
-        if enc.lo < 0:
-            raise ZeroStraddle(f"log1p argument not yet separated from 0: {enc}")
-        lo = enclose_log1p(enc.lo, precision_bits).lo
-        return Enclosure(lo, enclose_log1p(enc.hi, precision_bits).hi)
+            return _log1p_fixed(self.arg.numerator, self.arg.denominator, w)
+        # log1p is increasing with slope at most 1 on x >= 0, so the ends of
+        # the argument's interval at the same scale bound it
+        lo, hi = self.arg._fixed(w)
+        if lo < 0:
+            raise ZeroStraddle(f"log1p argument not yet separated from 0 at {w} bits")
+        return _log1p_fixed(lo, 1 << w, w)[0], _log1p_fixed(hi, 1 << w, w)[1]
 
     def describe(self) -> str:
         arg = self.arg if isinstance(self.arg, Fraction) else self.arg.describe()
@@ -394,27 +555,41 @@ class _Add(RealExpr):
     def __init__(self, a: RealExpr, b: RealExpr):
         self.a, self.b = a, b
 
-    def enclose(self, precision_bits: int) -> Enclosure:
-        p = precision_bits + _EXPR_CHILD_PAD
-        return self.a.enclose(p) + self.b.enclose(p)
+    def _fixed(self, w: int) -> tuple[int, int]:
+        alo, ahi = self.a._fixed(w)
+        blo, bhi = self.b._fixed(w)
+        return alo + blo, ahi + bhi
 
     def describe(self) -> str:
         return f"({self.a.describe()} + {self.b.describe()})"
+
+
+def _scale_fixed(expr: RealExpr, q: Fraction, w: int) -> tuple[int, int]:
+    # q * expr: the child is evaluated |q|'s integer bits finer, so that the
+    # product is as tight at scale w as the child alone
+    p, d = q.numerator, q.denominator
+    extra = (abs(p) // d).bit_length()
+    lo, hi = expr._fixed(w + extra)
+    a, b = (p * lo, p * hi) if p >= 0 else (p * hi, p * lo)
+    den = d << extra
+    return a // den, _ceil_div(b, den)
 
 
 class _Mul(RealExpr):
     def __init__(self, a: RealExpr, b: RealExpr):
         self.a, self.b = a, b
 
-    def enclose(self, precision_bits: int) -> Enclosure:
-        p = precision_bits + _EXPR_CHILD_PAD
-        # an exact factor gives the four-product interval at half the cost
+    def _fixed(self, w: int) -> tuple[int, int]:
         xa, xb = self.a.exact(), self.b.exact()
         if xa is not None:
-            return self.b.enclose(p).scale(xa)
+            return _scale_fixed(self.b, xa, w)
         if xb is not None:
-            return self.a.enclose(p).scale(xb)
-        return self.a.enclose(p) * self.b.enclose(p)
+            return _scale_fixed(self.a, xb, w)
+        # each factor's width is scaled by the other's size
+        alo, ahi = self.a._fixed(w)
+        blo, bhi = self.b._fixed(w)
+        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        return _round_out(min(products), max(products), w)
 
     def describe(self) -> str:
         return f"({self.a.describe()} * {self.b.describe()})"
@@ -424,8 +599,13 @@ class _Inv(RealExpr):
     def __init__(self, a: RealExpr):
         self.a = a
 
-    def enclose(self, precision_bits: int) -> Enclosure:
-        return self.a.enclose(precision_bits + _EXPR_CHILD_PAD).reciprocal()
+    def _fixed(self, w: int) -> tuple[int, int]:
+        # 1/a is about width(a)/a^2 wide
+        lo, hi = self.a._fixed(w)
+        if lo <= 0 <= hi:
+            raise ZeroStraddle(f"cannot invert {self.a.describe()} at {w} bits")
+        num = 1 << (2 * w)
+        return num // hi, _ceil_div(num, lo)
 
     def describe(self) -> str:
         return f"(1 / {self.a.describe()})"
@@ -447,7 +627,7 @@ def const(v: RationalLike) -> RealExpr:
 
 
 def exp_of(arg: RationalLike) -> RealExpr:
-    arg = Fraction(arg)
+    arg = _as_fraction(arg)
     if arg == 0:
         return _Const(1)
     return _Exp(arg)
@@ -459,7 +639,7 @@ def log1p_of(arg: Union[RationalLike, RealExpr]) -> RealExpr:
         if arg.exact() is None:
             return _Log1p(arg)
         arg = arg.exact()
-    arg = Fraction(arg)
+    arg = _as_fraction(arg)
     if arg < 0:
         raise ValueError("log1p_of requires arg >= 0")
     if arg == 0:
@@ -556,13 +736,27 @@ class RefinementPolicy:
 DEFAULT_POLICY = RefinementPolicy()
 
 
+def _meet(
+    iv: tuple[int, int], w: int, other: tuple[int, int], ow: int
+) -> tuple[int, int]:
+    """Intersection of two enclosures of one value, at the finer scale."""
+    if ow > w:
+        iv, w, other, ow = other, ow, iv, w
+    s = w - ow
+    return max(iv[0], other[0] << s), min(iv[1], other[1] << s)
+
+
 def cmp_certified(a, b, policy: RefinementPolicy = DEFAULT_POLICY) -> Comparison:
     """Certified three-way comparison of two real-value descriptors.
 
     Exact rational pairs compare directly (the only way to obtain an Equal
-    verdict).  Otherwise both sides are enclosed on the policy's precision
-    ladder until the intervals are disjoint; if they still overlap at the
-    cap the result is Unresolved, never a guess.
+    verdict).  Otherwise both sides are evaluated as fixed-point intervals
+    at each rung of the policy's precision ladder until the intervals are
+    disjoint.  Where they overlap and both are small, the rung refines by
+    the leading zero bits they share, so small values compare relative to
+    their size.  Each rung's intervals are intersected with the previous
+    rung's, so refinement never widens an enclosure.  If they still overlap
+    at the cap the result is Unresolved, never a guess.
     """
     ea, eb = as_expr(a), as_expr(b)
     xa, xb = ea.exact(), eb.exact()
@@ -570,14 +764,26 @@ def cmp_certified(a, b, policy: RefinementPolicy = DEFAULT_POLICY) -> Comparison
         if xa == xb:
             return Comparison(Verdict.EQUAL, 0)
         return Comparison(Verdict.LESS if xa < xb else Verdict.GREATER, 0)
+    prev = None
     for bits in policy.ladder():
+        w = _working_scale(bits)
         try:
-            ia = ea.enclose(bits)
-            ib = eb.enclose(bits)
+            ia, ib = ea._fixed(w), eb._fixed(w)
+            if ia[1] >= ib[0] and ib[1] >= ia[0]:
+                lead = w - max(map(abs, ia + ib)).bit_length()
+                if lead > 0:
+                    w += lead
+                    ia, ib = ea._fixed(w), eb._fixed(w)
         except ZeroStraddle:
             continue  # refine; the interval may separate from zero yet
-        if ia.hi < ib.lo:
+        if prev is not None:
+            # both rungs enclose the same values, so their intersection does
+            pw, pa, pb = prev
+            ia, ib = _meet(ia, w, pa, pw), _meet(ib, w, pb, pw)
+            w = max(w, pw)
+        if ia[1] < ib[0]:
             return Comparison(Verdict.LESS, bits)
-        if ib.hi < ia.lo:
+        if ib[1] < ia[0]:
             return Comparison(Verdict.GREATER, bits)
+        prev = (w, ia, ib)
     return Comparison(Verdict.UNRESOLVED, policy.cap_bits)

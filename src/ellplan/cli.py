@@ -9,8 +9,8 @@ Exit codes are part of the contract:
     3  usage, parse, or validation error
 
 Structured output is one schema-tagged line per object (see records).
-`--worker-count` is still accepted for compatibility but ignored: every
-command runs on one thread.
+Every command runs on one thread; the former `--worker-count` option is
+gone and, like any unknown argument, exits 3.
 """
 
 from __future__ import annotations
@@ -124,10 +124,6 @@ def _build_parser() -> _Parser:
         help="output format (csv applies to `table` only)",
     )
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument(
-        "--worker-count", type=int, default=None, metavar="N",
-        help="accepted and ignored; kept for compatibility and due for removal",
-    )
 
     parser = _Parser(
         prog="ellplan",

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,115 @@ class TestComposition:
         x = Fraction(k, 16)
         composed = enclose_exp_interval(enclose_log1p(x, 64), 64)
         assert composed.contains(1 + x)
+
+
+def _mpf(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def assert_encloses(expr, bits, reference, int_digits=0):
+    """expr.enclose(bits) strictly contains reference(), evaluated by mpmath.
+
+    The reference carries 60 digits beyond the enclosure's scale and the
+    value's integer digits, so its own rounding cannot decide the check.
+    """
+    enc = expr.enclose(bits)
+    assert enc.width <= Fraction(1, 2**bits)
+    with mp.workdps(60 + (bits + 40) * 302 // 1000 + int_digits):
+        value = reference()
+        assert _mpf(enc.lo) < value < _mpf(enc.hi)
+
+
+class TestFixedPointDescriptors:
+    """Descriptor enclosures are fixed-point intervals; check them against mpmath."""
+
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=7, max_value=40),
+        st.integers(min_value=8, max_value=128),
+    )
+    @settings(max_examples=50)
+    def test_log1p_tiny(self, n, k, bits):
+        x = Fraction(n, 10**k)
+        assert_encloses(log1p_of(x), bits, lambda: mp.log1p(_mpf(x)))
+
+    @given(
+        st.fractions(min_value=1, max_value=10**9, max_denominator=10**4),
+        st.integers(min_value=8, max_value=128),
+    )
+    @settings(max_examples=50)
+    def test_log1p_above_one_reduces_by_powers_of_two(self, x, bits):
+        if x == 1:
+            x = Fraction(3, 2)
+        assert_encloses(log1p_of(x), bits, lambda: mp.log1p(_mpf(x)))
+
+    @given(
+        st.fractions(min_value=-300, max_value=-1, max_denominator=1000),
+        st.integers(min_value=8, max_value=128),
+    )
+    @settings(max_examples=50)
+    def test_exp_negative(self, x, bits):
+        assert_encloses(exp_of(x), bits, lambda: mp.exp(_mpf(x)))
+
+    @given(
+        st.fractions(min_value=1, max_value=300, max_denominator=1000),
+        st.integers(min_value=8, max_value=128),
+    )
+    @settings(max_examples=50)
+    def test_exp_large(self, x, bits):
+        digits = int(x * Fraction(4343, 10000)) + 2
+        assert_encloses(exp_of(x), bits, lambda: mp.exp(_mpf(x)), digits)
+
+    @pytest.mark.parametrize("bits", [1, 8, 16, 32, 64, 128, 512])
+    def test_inv_e(self, bits):
+        assert_encloses(inv_e(), bits, lambda: 1 / mp.e)
+
+    @given(
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+        st.integers(min_value=8, max_value=128),
+    )
+    @settings(max_examples=50)
+    def test_e_times_rational(self, q, bits):
+        if q == 0:
+            q = Fraction(1, 7)
+        assert_encloses(E * const(q), bits, lambda: mp.e * _mpf(q), 7)
+
+    @given(
+        st.fractions(min_value=0, max_value=10, max_denominator=10**12),
+        st.integers(min_value=8, max_value=128),
+    )
+    @settings(max_examples=50)
+    def test_log1p_of_e_times_eps(self, eps, bits):
+        if eps == 0:
+            eps = Fraction(1, 10**12)
+        assert_encloses(
+            log1p_of(E * const(eps)), bits, lambda: mp.log1p(mp.e * _mpf(eps))
+        )
+
+    @given(
+        st.fractions(min_value=-20, max_value=20, max_denominator=1000),
+        st.integers(min_value=8, max_value=96),
+    )
+    @settings(max_examples=40)
+    def test_overlaps_exact_rational_builders(self, x, bits):
+        # both enclose the same value, so they must meet
+        pairs = [(exp_of(x), enclose_exp(x, bits))]
+        if x > 0:
+            pairs.append((log1p_of(x), enclose_log1p(x, bits)))
+        for expr, exact in pairs:
+            enc = expr.enclose(bits)
+            assert enc.lo <= exact.hi and exact.lo <= enc.hi
+
+    def test_large_exp_comparison_answers_in_bounded_time(self):
+        x = Fraction(601, 3)
+        with mp.workdps(120):
+            n = int(mp.floor(mp.exp(_mpf(x))))
+        start = time.perf_counter()
+        above = cmp_certified(exp_of(x), const(n))
+        below = cmp_certified(exp_of(x), const(n + 1))
+        assert time.perf_counter() - start < 0.5
+        assert above.verdict is Verdict.GREATER
+        assert below.verdict is Verdict.LESS
 
 
 class TestCmpCertified:

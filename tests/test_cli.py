@@ -152,13 +152,10 @@ class TestVerifyCommand:
         assert len(docs) == 4
         assert all(doc["kind"] == "sweep" and doc["all_ok"] for doc in docs)
 
-    def test_worker_count_does_not_change_bytes(self):
-        base = run("verify", "--suite", "bounds", "--lmax", "120", "--format", "structured")
-        for workers in ("2", "3", "5"):
-            assert base == run(
-                "verify", "--suite", "bounds", "--lmax", "120",
-                "--format", "structured", "--worker-count", workers,
-            )
+    def test_worker_count_is_an_unknown_argument(self):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "bounds", "--lmax", "120", "--worker-count", "2"])
+        assert err.value.code == EXIT_USAGE
 
     def test_bad_grid_is_usage_error(self):
         assert run("verify", "--suite", "logs", "--grid", "1:0:1")[0] == EXIT_USAGE
