@@ -325,7 +325,9 @@ def _rational_fixed(q: Fraction, w: int) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=64)
 def _e_fixed(w: int) -> tuple[int, int]:
-    enc = enclose_e(w)
+    # whole 64-bit steps keep enclose_e's unbounded cache small however many
+    # scales the relative refinement in cmp_certified asks for
+    enc = enclose_e(-(-w // 64) * 64)
     return _rational_fixed(enc.lo, w)[0], _rational_fixed(enc.hi, w)[1]
 
 
