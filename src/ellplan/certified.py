@@ -433,10 +433,11 @@ def _working_scale(bits: int) -> int:
     most 40, so its enclosures sit well inside the 2^-b a rung promises.
     The public series enclosures stop at a minimal order whose width often
     falls far below 2^-b, and the guard matches that: no sweep comparison up
-    to ell = 10^4 and no planner probe needs a higher rung than those
-    enclosures did (at 32 bits, w = 60; w = 57 is the least that resolves
-    every sweep).  A small rung still cannot separate a gap far below 2^-b:
-    at 16 bits (w = 28) a gap of 2^-29.6 stays unresolved.
+    to ell = 10^4, and no planner search checked from eps = 3 down to
+    1e-400, needs a higher rung than those enclosures did (at 32 bits,
+    w = 60; w = 57 is the least that resolves every sweep).  A small rung
+    still cannot separate a gap far below 2^-b: at 16 bits (w = 28) a gap of
+    2^-29.6 stays unresolved.
     """
     return bits + min(max(bits - 4, 8), 40)
 
@@ -738,6 +739,13 @@ class RefinementPolicy:
 DEFAULT_POLICY = RefinementPolicy()
 
 
+# Both sides below 2^-5 in size count as small: a rung then refines by the
+# leading zero bits they share.  Larger values compare at the rung's own
+# scale, so a 16-bit rung still leaves a gap of 2^-29.6 on values near 0.09
+# unresolved.
+_SMALL_LEAD = 5
+
+
 def _meet(
     iv: tuple[int, int], w: int, other: tuple[int, int], ow: int
 ) -> tuple[int, int]:
@@ -754,9 +762,9 @@ def cmp_certified(a, b, policy: RefinementPolicy = DEFAULT_POLICY) -> Comparison
     Exact rational pairs compare directly (the only way to obtain an Equal
     verdict).  Otherwise both sides are evaluated as fixed-point intervals
     at each rung of the policy's precision ladder until the intervals are
-    disjoint.  Where they overlap and both are small, the rung refines by
-    the leading zero bits they share, so small values compare relative to
-    their size.  Each rung's intervals are intersected with the previous
+    disjoint.  Where they overlap and both are below 2^-5, the rung refines
+    by the leading zero bits they share, so small values compare relative
+    to their size.  Each rung's intervals are intersected with the previous
     rung's, so refinement never widens an enclosure.  If they still overlap
     at the cap the result is Unresolved, never a guess.
     """
@@ -773,7 +781,7 @@ def cmp_certified(a, b, policy: RefinementPolicy = DEFAULT_POLICY) -> Comparison
             ia, ib = ea._fixed(w), eb._fixed(w)
             if ia[1] >= ib[0] and ib[1] >= ia[0]:
                 lead = w - max(map(abs, ia + ib)).bit_length()
-                if lead > 0:
+                if lead >= _SMALL_LEAD:
                     w += lead
                     ia, ib = ea._fixed(w), eb._fixed(w)
         except ZeroStraddle:

@@ -42,7 +42,6 @@ from ellplan.certified import (
     cmp_certified,
     const,
     enclose_e,
-    exp_of,
     log1p_of,
 )
 
@@ -208,12 +207,14 @@ def certificate_sharp(
 
     True implies phi(ell) <= 1/e + eps.  False implies nothing about phi;
     the certificate is not necessary (try ell=1, eps=3/20).  An unresolved
-    comparison raises rather than degrading to False.
+    comparison raises rather than degrading to False.  The claim is checked
+    in the log domain, as 1/(2l) - 1/(3l^2) + 1/(4l^3) <= log1p(e*eps):
+    both sides are then small, so a deep slack resolves relative to their
+    size instead of beside the 1 of 1 + e*eps.
     """
     value = _eps_value(eps)
-    lhs = exp_of(sharp_exponent(ell))
-    rhs = const(1) + E * const(value)
-    res = cmp_certified(lhs, rhs, policy)
+    target = log1p_of(E * const(value))
+    res = cmp_certified(const(sharp_exponent(ell)), target, policy)
     if res.verdict is Verdict.UNRESOLVED:
         raise PrecisionExhausted(
             f"certificate at ell={ell}, eps={value} unresolved "

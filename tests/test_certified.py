@@ -238,8 +238,6 @@ class TestFixedPointDescriptors:
     )
     @settings(max_examples=50)
     def test_log1p_above_one_reduces_by_powers_of_two(self, x, bits):
-        if x == 1:
-            x = Fraction(3, 2)
         assert_encloses(log1p_of(x), bits, lambda: mp.log1p(_mpf(x)))
 
     @given(

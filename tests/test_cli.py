@@ -154,7 +154,7 @@ class TestVerifyCommand:
 
     def test_worker_count_is_an_unknown_argument(self):
         with pytest.raises(SystemExit) as err:
-            main(["verify", "--suite", "bounds", "--lmax", "120", "--worker-count", "2"])
+            main(["verify", "--suite", "bounds", "--worker-count", "2"])
         assert err.value.code == EXIT_USAGE
 
     def test_bad_grid_is_usage_error(self):
