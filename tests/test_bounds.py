@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -62,9 +62,13 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(bad)
 
+    def test_cache_boundary_consistent(self):
+        # 2048/2049 straddled the boundary of the former phi cache; the
+        # values on both sides must still come out normalised and exact
+        assert phi(2048) == Fraction(2048**2048, 2049**2048)
+        assert phi(2049) == Fraction(2049**2049, 2050**2049)
+
     @given(st.integers(min_value=1, max_value=3000))
-    @example(2048)
-    @example(2049)
     @settings(max_examples=60)
     def test_matches_normalizing_constructor(self, ell):
         # phi skips Fraction's gcd on the grounds that ell^ell and
