@@ -240,10 +240,9 @@ def verify_bound_ordering(
         f"{s.value} <= {l.value}": [] for s, l in _ORDER_CHAIN
     }
     for ell in range(lo, hi + 1):
+        factors = {kind: bound_factor(kind, ell) for kind in BoundKind}
         for (small, large), out in zip(_ORDER_CHAIN, entries.values()):
-            cmp = cmp_certified(
-                bound_factor(small, ell), bound_factor(large, ell), policy
-            )
+            cmp = cmp_certified(factors[small], factors[large], policy)
             ok = cmp.verdict in (Verdict.LESS, Verdict.EQUAL)
             out.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
     return {

@@ -1,25 +1,23 @@
 """Certified enclosures of e, exp and log(1+x), and certified comparison.
 
-The public builders enclose_e, enclose_exp and enclose_log1p return
-Enclosure intervals with exact Fraction endpoints.  Every series is cut off
-with an explicit tail bound, and refining the precision never moves an
-endpoint the wrong way, i.e. ``enclose(x, p2)`` is a subset of
-``enclose(x, p1)`` whenever ``p2 >= p1``.  Each builder achieves this by
-choosing the minimal series order that meets the width target; the
-per-order interval families are nested by construction, and a minimal order
-is a nondecreasing function of the precision demanded.  They serve callers
-that need an exact rational interval, and they are the reference the
-fixed-point layer below is tested against.
+Real values are described by RealExpr trees (rational constants, e, exp and
+log1p of rationals, and +, *, /) and evaluate in integer fixed point: an
+interval at scale w is a pair of ints (lo, hi) standing for
+[lo * 2^-w, hi * 2^-w], and every step rounds lo down and hi up, so operands
+stay near w bits.  Every series is cut off with an explicit tail bound.
 
-Real-value descriptors (RealExpr) and cmp_certified evaluate in integer
-fixed point instead: an interval at scale w is a pair of ints (lo, hi)
-standing for [lo * 2^-w, hi * 2^-w], and every step rounds lo down and hi
-up, so operands stay near w bits.  The same series and tail bounds as the
-builders apply.  Fixed-point rounding is not monotone in w, so
-cmp_certified intersects each rung with the previous one, and the
-enclosures it compares are nested as the precision grows.  A Less or
-Greater verdict is only ever produced from two provably disjoint intervals.
-No floating point appears on any certified path.
+RealExpr.enclose turns such an interval into an Enclosure with dyadic
+Fraction endpoints at most 2^-bits wide, and raising the precision never
+moves an endpoint the wrong way: ``x.enclose(p2)`` is a subset of
+``x.enclose(p1)`` whenever ``p2 >= p1``.  enclose_exp and enclose_log1p are
+that method on exp_of and log1p_of.  enclose_e alone sums its own series in
+exact rationals; it is the kernels' source of e.
+
+cmp_certified evaluates the intervals directly.  Fixed-point rounding is not
+monotone in w, so it intersects each rung with the previous one, and the
+intervals it compares are nested as the precision grows.  A Less or Greater
+verdict is only ever produced from two provably disjoint intervals.  No
+floating point appears on any certified path.
 """
 
 from __future__ import annotations
@@ -138,11 +136,7 @@ class Enclosure:
 
 
 # ---------------------------------------------------------------------------
-# series enclosures
-
-# Growing the series past this many terms would signal a badly scaled input;
-# the builders then return the widest valid interval instead of spinning.
-_SERIES_TERM_CAP = 1 << 16
+# public enclosures
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,125 +160,16 @@ def enclose_e(precision_bits: int) -> Enclosure:
     return Enclosure(Fraction(numer, fact), Fraction(numer * k + 1, fact * k))
 
 
-def _exp_core(y: Fraction, n: int) -> Enclosure:
-    # exp(y) for 0 <= y <= 1/2 via n Taylor terms; the term ratio is at most
-    # y <= 1/2, so the tail after y^n/n! is below 2 * y^(n+1)/(n+1)!.
-    s = Fraction(1)
-    term = Fraction(1)
-    for k in range(1, n + 1):
-        term = term * y / k
-        s += term
-    tail = 2 * term * y / (n + 1)
-    return Enclosure(s, s + tail)
-
-
-def _minimal_order(build, width_target: Fraction):
-    """Smallest n >= 1 with build(n).width <= width_target.
-
-    ``build(n)`` must be a nested family (n' > n gives a sub-interval), which
-    makes the width monotone and the doubling-plus-bisection search exact.
-    Returns the enclosure at the term cap if the target is unreachable.
-    """
-    n = 1
-    enc = build(n)
-    while enc.width > width_target and n < _SERIES_TERM_CAP:
-        n *= 2
-        enc = build(n)
-    if enc.width > width_target:
-        return enc
-    lo, hi = n // 2, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        cand = build(mid)
-        if cand.width <= width_target:
-            hi, enc = mid, cand
-        else:
-            lo = mid
-    return enc
-
-
-@functools.lru_cache(maxsize=8192)
 def enclose_exp(x: RationalLike, precision_bits: int) -> Enclosure:
-    """Enclosure of exp(x) for rational x.
-
-    The argument is halved m times until it lands in [0, 1/2], enclosed by a
-    Taylor polynomial with an explicit geometric tail, then squared back m
-    times (squaring of positive intervals is containment-monotone, and so is
-    the final reciprocal for negative x).
-    """
-    x = Fraction(x)
-    if precision_bits < 1:
-        raise ValueError("precision_bits must be >= 1")
-    if x == 0:
-        return Enclosure.point(1)
-    negative = x < 0
-    ax = -x if negative else x
-    halvings = 0
-    while ax > Fraction(1, 2):
-        ax /= 2
-        halvings += 1
-
-    def build(n: int) -> Enclosure:
-        enc = _exp_core(ax, n)
-        for _ in range(halvings):
-            enc = enc.square()
-        if negative:
-            enc = enc.reciprocal()
-        return enc
-
-    return _minimal_order(build, Fraction(1, 1 << precision_bits))
+    """Enclosure of exp(x) for rational x; see RealExpr.enclose."""
+    return exp_of(x).enclose(precision_bits)
 
 
-def _artanh_core(t: Fraction, n: int) -> Enclosure:
-    # artanh(t) for 0 <= t < 1 via n+1 odd-power terms; the remaining odd
-    # powers are dominated by a geometric series with ratio t^2, giving the
-    # tail bound t^(2n+3) / ((2n+3) (1 - t^2)).
-    t2 = t * t
-    power = t
-    s = t
-    for j in range(1, n + 1):
-        power *= t2
-        s += power / (2 * j + 1)
-    tail = power * t2 / ((2 * n + 3) * (1 - t2))
-    return Enclosure(s, s + tail)
-
-
-# Hits come from comparisons at the same ell or eps, which run close together;
-# a larger cache would mostly hold planner probes' one-off entries (~1 KB each).
-@functools.lru_cache(maxsize=1024)
 def enclose_log1p(x: RationalLike, precision_bits: int) -> Enclosure:
-    """Enclosure of log(1+x) for rational x >= 0.
-
-    Uses log(1+x) = 2 artanh(x/(x+2)).  Arguments above 1 are first reduced
-    by powers of two, 1+x = 2^k * m with m in [1, 2), against log 2 =
-    2 artanh(1/3); this keeps the series argument at most 1/3 so convergence
-    does not degrade for large x.
-    """
-    x = Fraction(x)
-    if precision_bits < 1:
-        raise ValueError("precision_bits must be >= 1")
+    """Enclosure of log(1+x) for rational x >= 0; see RealExpr.enclose."""
     if x < 0:
         raise ValueError("enclose_log1p requires x >= 0")
-    if x == 0:
-        return Enclosure.point(0)
-
-    one_plus = 1 + x
-    k = 0
-    if x > 1:
-        # largest k with 2^k <= 1+x
-        k = (one_plus.numerator // one_plus.denominator).bit_length() - 1
-        one_plus = one_plus / (1 << k)
-    rest = one_plus - 1  # in [0, 1)
-    t_rest = rest / (rest + 2)
-    t_log2 = Fraction(1, 3)
-
-    def build(n: int) -> Enclosure:
-        enc = _artanh_core(t_rest, n).scale(2) if t_rest else Enclosure.point(0)
-        if k:
-            enc = enc + _artanh_core(t_log2, n).scale(2 * k)
-        return enc
-
-    return _minimal_order(build, Fraction(1, 1 << precision_bits))
+    return log1p_of(x).enclose(precision_bits)
 
 
 def enclose_exp_interval(enc: Enclosure, precision_bits: int) -> Enclosure:
@@ -332,11 +217,10 @@ def _e_fixed(w: int) -> tuple[int, int]:
 
 
 def _artanh_fixed(tn: int, td: int, w: int) -> tuple[int, int]:
-    # artanh(t) for 0 < t = tn/td <= 1/3, the integer twin of _artanh_core:
-    # after the term t^(2n+1)/(2n+1) the odd powers are dominated by a
-    # geometric series of ratio t^2, so the tail is below
-    # t^(2n+3) / ((2n+3) (1 - t^2)).  Terms are added until the next one is
-    # under an ulp.
+    # artanh(t) = sum_j t^(2j+1)/(2j+1) for 0 < t = tn/td <= 1/3: after the
+    # term t^(2n+1)/(2n+1) the odd powers are dominated by a geometric series
+    # of ratio t^2, so the tail is below t^(2n+3) / ((2n+3) (1 - t^2)).
+    # Terms are added until the next one is under an ulp.
     t_lo = (tn << w) // td
     t_hi = _ceil_div(tn << w, td)
     t2_lo = t_lo * t_lo >> w
@@ -360,15 +244,16 @@ def _artanh_third(w: int) -> tuple[int, int]:
     return _artanh_fixed(1, 3, w)
 
 
-# Keyed like enclose_log1p: the four bound kinds of one ell, and the probes of
-# one eps, share an evaluation per rung.
+# The four bound kinds of one ell, and the probes of one eps, share an
+# evaluation per rung.
 @functools.lru_cache(maxsize=1024)
 def _log1p_fixed(num: int, den: int, w: int) -> tuple[int, int]:
     """log(1 + num/den) for num >= 0, den > 0, at scale w.
 
-    As in enclose_log1p, 1+x = 2^k * m with m in [1, 2) (k = 0 for x <= 1),
-    and log(1+x) = 2 artanh((m-1)/(m+1)) + 2k artanh(1/3); both artanh
-    arguments are at most 1/3.
+    With 1+x = 2^k * m, m in [1, 2) (k = 0 for x <= 1), log(1+x) =
+    2 artanh((m-1)/(m+1)) + 2k artanh(1/3), since log 2 = 2 artanh(1/3).
+    Both artanh arguments are at most 1/3, so the series converges as fast
+    for large x as for small.
     """
     if num == 0:
         return 0, 0
@@ -389,10 +274,12 @@ def _log1p_fixed(num: int, den: int, w: int) -> tuple[int, int]:
 def _exp_fixed(p: int, q: int, w: int) -> tuple[int, int]:
     """exp(p/q) for p != 0, q > 0, at scale w.
 
-    As in enclose_exp: |x| is halved m times into (0, 1/2], enclosed by a
-    Taylor sum with the tail 2 y^(n+1)/(n+1)!, squared back m times, and
-    inverted for negative x.  The working scale absorbs the m doublings of
-    relative error and, for positive x, the integer bits of exp(x).
+    |x| is halved m times into y in (0, 1/2] and enclosed by a Taylor sum;
+    the term ratio is at most y <= 1/2, so the tail after y^n/n! is below
+    2 y^(n+1)/(n+1)!.  The sum is squared back m times (squaring positive
+    intervals keeps containment), and inverted for negative x.  The working
+    scale absorbs the m doublings of relative error and, for positive x, the
+    integer bits of exp(x).
     """
     negative = p < 0
     p = abs(p)
@@ -430,14 +317,12 @@ def _working_scale(bits: int) -> int:
     """The fixed-point scale w at which a rung of the ladder evaluates.
 
     A rung of b bits evaluates b - 4 guard bits finer, at least 8 and at
-    most 40, so its enclosures sit well inside the 2^-b a rung promises.
-    The public series enclosures stop at a minimal order whose width often
-    falls far below 2^-b, and the guard matches that: no sweep comparison up
-    to ell = 10^4, and no planner search checked from eps = 3 down to
-    1e-400, needs a higher rung than those enclosures did (at 32 bits,
-    w = 60; w = 57 is the least that resolves every sweep).  A small rung
-    still cannot separate a gap far below 2^-b: at 16 bits (w = 28) a gap of
-    2^-29.6 stays unresolved.
+    most 40, so its intervals sit well inside the 2^-b a rung promises.  The
+    guard sets the rung at which comparisons separate, which the sweeps and
+    plans report as bits_used and precision_used: every sweep comparison up
+    to ell = 10^4 separates at the 32-bit rung (w = 60; w = 57 is the least
+    that resolves every sweep).  A small rung still cannot separate a gap
+    far below 2^-b: at 16 bits (w = 28) a gap of 2^-29.6 stays unresolved.
     """
     return bits + min(max(bits - 4, 8), 40)
 
@@ -451,13 +336,34 @@ class RealExpr:
     """
 
     def enclose(self, precision_bits: int) -> Enclosure:
-        """The enclosure cmp_certified compares at this rung, as rationals."""
+        """Enclosure at most 2^-precision_bits wide, nested as bits grow.
+
+        Exact values enclose as points.  Otherwise, with g = bits + 2, the
+        fixed-point interval is evaluated at w = g + 8 and then at finer
+        scales until it is at most 2^-g wide, and each end moves out by
+        2^-g.  The result is at most 3 * 2^-g <= 2^-bits wide, and its
+        endpoints have denominators of at most 2^w.
+
+        Nesting holds by construction.  For b2 > b1, g2 > g1: every point of
+        the b2 enclosure is within 2^-g2 + 2^-g2 <= 2^-g1 of the value, and
+        the b1 enclosure holds every point within 2^-g1 of the value, since
+        its inner interval holds the value and each end moved out by 2^-g1.
+        """
+        if precision_bits < 1:
+            raise ValueError("precision_bits must be >= 1")
         x = self.exact()
         if x is not None:
             return Enclosure.point(x)
-        w = _working_scale(precision_bits)
+        g = precision_bits + 2
+        w = g + 8
         lo, hi = self._fixed(w)
-        return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
+        while hi - lo > 1 << (w - g):
+            # the width's excess bits; a node's width in units of 2^-w
+            # settles as w grows
+            w += (hi - lo).bit_length() - (w - g)
+            lo, hi = self._fixed(w)
+        pad = 1 << (w - g)
+        return Enclosure(Fraction(lo - pad, 1 << w), Fraction(hi + pad, 1 << w))
 
     def _fixed(self, w: int) -> tuple[int, int]:
         """Fixed-point interval at scale w; may raise ZeroStraddle."""

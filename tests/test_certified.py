@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from ellplan.bounds import log_e_phi
 from ellplan.certified import (
     Comparison,
     Enclosure,
@@ -144,6 +145,15 @@ class TestEncloseExp:
     def test_nesting(self, x, bits, extra):
         assert enclose_exp(x, bits).contains_interval(enclose_exp(x, bits + extra))
 
+    def test_wide_arguments_in_bounded_time_and_size(self):
+        x = Fraction(1501, 3)  # 500 + 1/3
+        start = time.perf_counter()
+        far = enclose_exp(x, 64)
+        assert time.perf_counter() - start < 1
+        assert_contains(far, 64, lambda: mp.exp(_mpf(x)), 220)
+        for enc in (far, enclose_exp(Fraction(151, 3), 64)):
+            assert max(enc.lo.denominator, enc.hi.denominator) <= 2**128
+
 
 class TestEncloseLog1p:
     def test_exact_at_zero(self):
@@ -206,17 +216,30 @@ def _mpf(q: Fraction):
     return mp.mpf(q.numerator) / q.denominator
 
 
-def assert_encloses(expr, bits, reference, int_digits=0):
-    """expr.enclose(bits) strictly contains reference(), evaluated by mpmath.
+def assert_contains(enc, bits, reference, int_digits=0):
+    """enc is at most 2^-bits wide and strictly contains reference().
 
-    The reference carries 60 digits beyond the enclosure's scale and the
-    value's integer digits, so its own rounding cannot decide the check.
+    The reference, evaluated by mpmath, carries 60 digits beyond the
+    enclosure's scale and the value's integer digits, so its own rounding
+    cannot decide the check.
     """
-    enc = expr.enclose(bits)
     assert enc.width <= Fraction(1, 2**bits)
     with mp.workdps(60 + (bits + 40) * 302 // 1000 + int_digits):
         value = reference()
         assert _mpf(enc.lo) < value < _mpf(enc.hi)
+
+
+def assert_encloses(expr, bits, reference, int_digits=0):
+    assert_contains(expr.enclose(bits), bits, reference, int_digits)
+
+
+def assert_nested(enclose, bits, extra, reference, int_digits=0):
+    """enclose(bits + extra) lies inside enclose(bits), and both contain
+    reference() within their width."""
+    coarse, fine = enclose(bits), enclose(bits + extra)
+    assert coarse.contains_interval(fine)
+    assert_contains(coarse, bits, reference, int_digits)
+    assert_contains(fine, bits + extra, reference, int_digits)
 
 
 class TestFixedPointDescriptors:
@@ -288,14 +311,12 @@ class TestFixedPointDescriptors:
         st.integers(min_value=8, max_value=96),
     )
     @settings(max_examples=40)
-    def test_overlaps_exact_rational_builders(self, x, bits):
-        # both enclose the same value, so they must meet
-        pairs = [(exp_of(x), enclose_exp(x, bits))]
+    def test_public_builders_contain_mpmath_value(self, x, bits):
+        if x == 0:
+            x = Fraction(1, 7)
+        assert_contains(enclose_exp(x, bits), bits, lambda: mp.exp(_mpf(x)), 10)
         if x > 0:
-            pairs.append((log1p_of(x), enclose_log1p(x, bits)))
-        for expr, exact in pairs:
-            enc = expr.enclose(bits)
-            assert enc.lo <= exact.hi and exact.lo <= enc.hi
+            assert_contains(enclose_log1p(x, bits), bits, lambda: mp.log1p(_mpf(x)))
 
     def test_large_exp_comparison_answers_in_bounded_time(self):
         x = Fraction(601, 3)
@@ -307,6 +328,75 @@ class TestFixedPointDescriptors:
         assert time.perf_counter() - start < 0.5
         assert above.verdict is Verdict.GREATER
         assert below.verdict is Verdict.LESS
+
+
+class TestNestedEnclosures:
+    """Raising the precision from p to p + extra gives a sub-interval, and
+    both contain the mpmath value within 2^-p, over wide arguments."""
+
+    @given(
+        st.fractions(min_value=-300, max_value=300, max_denominator=1000),
+        st.integers(min_value=1, max_value=256),
+        st.integers(min_value=1, max_value=128),
+    )
+    @settings(max_examples=40)
+    def test_exp(self, x, bits, extra):
+        if x == 0:
+            x = Fraction(1, 7)
+        digits = max(0, int(x * Fraction(4343, 10000))) + 2
+        assert_nested(
+            lambda b: enclose_exp(x, b), bits, extra, lambda: mp.exp(_mpf(x)), digits
+        )
+
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=1, max_value=256),
+        st.integers(min_value=1, max_value=128),
+    )
+    @settings(max_examples=40)
+    def test_log1p_from_1e_minus_30_to_1e6(self, n, k, bits, extra):
+        x = Fraction(n, 10**k)
+        assert_nested(
+            lambda b: enclose_log1p(x, b), bits, extra, lambda: mp.log1p(_mpf(x)), 2
+        )
+
+    @given(
+        st.integers(min_value=1, max_value=512),
+        st.integers(min_value=1, max_value=256),
+    )
+    @settings(max_examples=20)
+    def test_e_and_inv_e(self, bits, extra):
+        assert_nested(E.enclose, bits, extra, lambda: +mp.e, 1)
+        assert_nested(inv_e().enclose, bits, extra, lambda: 1 / mp.e)
+
+    @given(
+        st.fractions(min_value=0, max_value=10, max_denominator=10**12),
+        st.integers(min_value=1, max_value=256),
+        st.integers(min_value=1, max_value=128),
+    )
+    @settings(max_examples=30)
+    def test_log1p_of_e_times_eps(self, eps, bits, extra):
+        if eps == 0:
+            eps = Fraction(1, 10**12)
+        expr = log1p_of(E * const(eps))
+        assert_nested(
+            expr.enclose, bits, extra, lambda: mp.log1p(mp.e * _mpf(eps)), 1
+        )
+
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=256),
+        st.integers(min_value=1, max_value=128),
+    )
+    @settings(max_examples=30)
+    def test_log_e_phi(self, ell, bits, extra):
+        assert_nested(
+            log_e_phi(ell).enclose,
+            bits,
+            extra,
+            lambda: 1 - ell * mp.log1p(mp.mpf(1) / ell),
+        )
 
 
 class TestCmpCertified:

@@ -17,7 +17,12 @@ from ellplan.cli import (
 )
 from ellplan.costs import EXPECTED_TABLE
 from ellplan.planner import EllPlan
-from ellplan.records import InstanceCheck, parse_record, parse_records
+from ellplan.records import (
+    SCHEMA_VERSION,
+    InstanceCheck,
+    parse_record,
+    parse_records,
+)
 from ellplan.testbed import RatioReport
 
 from conftest import GOLDEN_DIR
@@ -142,6 +147,22 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "ell=100" in text and "ell=1000" in text
         assert "ell=10000" not in text
+
+    def test_structured_expansion_lines_match_text(self):
+        code, text = run("verify", "--suite", "expansion")
+        assert code == EXIT_OK
+        code, structured = run(
+            "verify", "--suite", "expansion", "--format", "structured"
+        )
+        assert code == EXIT_OK
+        docs = [json.loads(line) for line in structured.splitlines()]
+        assert [doc["ell"] for doc in docs] == [100, 1000]
+        for doc, line in zip(docs, text.splitlines(), strict=True):
+            assert doc["schema"] == SCHEMA_VERSION and doc["kind"] == "expansion"
+            lo, hi = Fraction(doc["scaled_lo"]), Fraction(doc["scaled_hi"])
+            envelope = Fraction(doc["envelope"])
+            assert doc["ok"] and -envelope < lo < hi < envelope
+            assert f"[{float(lo):.9f}, {float(hi):.9f}]" in line
 
     def test_structured_sweep_lines(self):
         code, text = run(
