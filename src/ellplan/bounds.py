@@ -21,11 +21,11 @@ exactly at ell = 2, so the certified chain runs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from ellplan._value import Frozen
 from ellplan.certified import (
     DEFAULT_POLICY,
     Comparison,
@@ -126,16 +126,14 @@ def _log_bound_factor(kind: BoundKind, ell: int) -> RealExpr:
 # sweep reports
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(Frozen):
     ell: int
     verdict: Verdict
     bits_used: int
     ok: bool
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Frozen):
     label: str
     entries: tuple[SweepEntry, ...]
 
@@ -262,8 +260,7 @@ def ordering_exception_at_one(policy: RefinementPolicy = DEFAULT_POLICY) -> Comp
 # logarithm inequalities
 
 
-@dataclass(frozen=True)
-class LogCheck:
+class LogCheck(Frozen):
     name: str
     argument: Fraction
     verdict: Verdict
@@ -316,16 +313,14 @@ def _expansion_prefix(ell: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class ExpansionEntry:
+class ExpansionEntry(Frozen):
     ell: int
     scaled: Enclosure  # ell^4 * (exp(sharp exponent) - cubic prefix)
     positive: bool
     ok: bool
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(Frozen):
     envelope: Fraction
     entries: tuple[ExpansionEntry, ...]
 

@@ -23,10 +23,11 @@ floating point appears on any certified path.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Union
+
+from ellplan._value import Frozen
 
 Rational = Fraction
 
@@ -54,8 +55,7 @@ class PrecisionExhausted(Exception):
 # intervals
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Frozen):
     """A closed interval [lo, hi] with exact rational endpoints.
 
     The interval certifies membership of one real value; all arithmetic here
@@ -602,8 +602,7 @@ class Verdict(Enum):
     UNRESOLVED = "unresolved"
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Frozen):
     """Outcome of a certified comparison.
 
     ``bits_used`` is 0 when both sides were exact rationals; otherwise it is
@@ -619,8 +618,7 @@ class Comparison:
         return self.verdict is not Verdict.UNRESOLVED
 
 
-@dataclass(frozen=True)
-class RefinementPolicy:
+class RefinementPolicy(Frozen):
     """Geometric precision ladder for comparisons: start, double, cap."""
 
     start_bits: int = 32

@@ -19,10 +19,10 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ellplan._value import Frozen
 from ellplan.bounds import (
     BoundKind,
     check_expansion_agreement,
@@ -76,8 +76,7 @@ PRECISION_CAP_ENV = "ELLPLAN_PRECISION_CAP"
 _EXPANSION_ELLS = (100, 1000, 10000)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Settings shared by every subcommand."""
 
     precision_start_bits: int = 32

@@ -14,10 +14,10 @@ including the wrap across an exponent boundary (9.9e5 vs 1.0e6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ellplan._value import Frozen
 from ellplan.certified import (
     DEFAULT_POLICY,
     Enclosure,
@@ -42,8 +42,7 @@ def decimal_digit_count(n: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class BigMagnitude:
+class BigMagnitude(Frozen):
     """An exact power of two plus its two-significant-digit rendering.
 
     sci_mantissa is a string like "4.8"; the rendered value is
@@ -133,8 +132,7 @@ def decomposition_exponents(
     return first, second
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Frozen):
     """One slack's depths and both savings factors."""
 
     eps: EpsSpec
@@ -155,8 +153,7 @@ PAPER_EPS = (
 )
 
 
-@dataclass(frozen=True)
-class ExpectedRow:
+class ExpectedRow(Frozen):
     """Embedded expected values for --check style comparisons."""
 
     eps_text: str
@@ -231,8 +228,7 @@ def reproduce_table(
     return [_row_for(s, policy) for s in specs]
 
 
-@dataclass(frozen=True)
-class CellMismatch:
+class CellMismatch(Frozen):
     row: str
     column: str
     expected: str
@@ -242,8 +238,7 @@ class CellMismatch:
         return f"row {self.row}, column {self.column}: expected {self.expected}, got {self.got}"
 
 
-@dataclass(frozen=True)
-class TableCheck:
+class TableCheck(Frozen):
     mismatches: tuple[CellMismatch, ...]
 
     @property
@@ -285,14 +280,12 @@ def check_against_expected(
     return TableCheck(tuple(bad))
 
 
-@dataclass(frozen=True)
-class GainEntry:
+class GainEntry(Frozen):
     eps: EpsSpec
     gap: int
 
 
-@dataclass(frozen=True)
-class GainReport:
+class GainReport(Frozen):
     """Observed ell_ps - ell_star gaps against the 2^(17/12) headroom claim."""
 
     entries: tuple[GainEntry, ...]

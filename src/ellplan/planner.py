@@ -26,10 +26,10 @@ False for a depth that phi itself accepts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ellplan._value import Frozen
 from ellplan.bounds import log_e_phi, rho, sharp_exponent
 from ellplan.certified import (
     DEFAULT_POLICY,
@@ -48,8 +48,7 @@ from ellplan.certified import (
 RationalLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class EpsSpec:
+class EpsSpec(Frozen):
     """A slack value held exactly; floats are refused at the boundary."""
 
     eps: Fraction
@@ -246,8 +245,7 @@ def asymptotic_residual(
     return Enclosure(star - target_hi, star - target_lo)
 
 
-@dataclass(frozen=True)
-class EllPlan:
+class EllPlan(Frozen):
     """The three depths for one slack, plus the certification trail."""
 
     eps: EpsSpec

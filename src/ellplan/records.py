@@ -9,10 +9,10 @@ every supported type.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from ellplan._value import Frozen
 from ellplan.certified import Enclosure
 from ellplan.costs import BigMagnitude, TableRow
 from ellplan.planner import EllPlan, EpsSpec
@@ -25,8 +25,7 @@ class RecordError(ValueError):
     """A line that is not a well-formed record of a known kind."""
 
 
-@dataclass(frozen=True)
-class InstanceCheck:
+class InstanceCheck(Frozen):
     """Monotone-submodular check outcome for one named instance.
 
     Wire form of a testbed ``PropertyCheck``: witnesses are canonicalized
@@ -259,7 +258,7 @@ def render_line(kind: str, payload: dict) -> str:
 
 
 def render_record(obj) -> str:
-    """Render a supported dataclass as one self-describing line."""
+    """Render a plan, table row, ratio report or instance check as one line."""
     entry = _KIND_OF_TYPE.get(type(obj))
     if entry is None:
         raise RecordError(f"no record form for {type(obj).__name__}")

@@ -14,15 +14,15 @@ the certified targets and classical baselines around that hole.
 from __future__ import annotations
 
 import json
+import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Optional, Union
 
+from ellplan._value import Frozen
 from ellplan.bounds import rho
 from ellplan.certified import (
     DEFAULT_POLICY,
@@ -45,18 +45,17 @@ class InstanceFormatError(ValueError):
     """Instance text that fails parsing or validation, with a field path."""
 
 
-@dataclass
 class OracleCounter:
     """Counts value-oracle calls; one tick per evaluation, no implicit resets."""
 
-    count: int = 0
+    def __init__(self, count: int = 0) -> None:
+        self.count = count
 
     def tick(self) -> None:
         self.count += 1
 
 
-@dataclass(frozen=True)
-class UniformMatroid:
+class UniformMatroid(Frozen):
     rank: int
 
     def __post_init__(self):
@@ -67,8 +66,7 @@ class UniformMatroid:
         return len(names) <= self.rank
 
 
-@dataclass(frozen=True)
-class PartitionBlock:
+class PartitionBlock(Frozen):
     members: frozenset[str]
     capacity: int
 
@@ -83,8 +81,7 @@ class PartitionBlock:
             raise ValueError(f"capacity must be a nonnegative integer, got {self.capacity!r}")
 
 
-@dataclass(frozen=True)
-class PartitionMatroid:
+class PartitionMatroid(Frozen):
     blocks: tuple[PartitionBlock, ...]
 
     def __post_init__(self):
@@ -120,8 +117,7 @@ class PartitionMatroid:
 Matroid = Union[UniformMatroid, PartitionMatroid]
 
 
-@dataclass(frozen=True)
-class CoverageInstance:
+class CoverageInstance(Frozen):
     """Weighted coverage with a matroid constraint; order follows the source.
 
     universe maps items to positive rational weights; each ground element
@@ -208,8 +204,7 @@ def f_eval(
 # fast exact internals: weights scaled to integers, subsets as bitmasks
 
 
-@dataclass(frozen=True)
-class _Scaled:
+class _Scaled(Frozen):
     item_masks: tuple[int, ...]  # per ground element, mask over universe items
     cover_weight: tuple[int, ...]  # per universe-item mask, total scaled weight
     denominator: int
@@ -261,8 +256,7 @@ def _names_of(instance: CoverageInstance, mask: int) -> frozenset[str]:
 # property checking
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(Frozen):
     """Outcome of the exhaustive monotone/submodular scan.
 
     monotone_witness: (S, T) with S subset of T and f(S) > f(T).
@@ -498,8 +492,7 @@ def greedy(
 # ratio targets
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(Frozen):
     """Certified target versus exact baselines for one instance and slack."""
 
     eps: EpsSpec
@@ -774,7 +767,8 @@ def bundled_instance(name: str) -> CoverageInstance:
     """
     if name not in BUNDLED_INSTANCES:
         raise KeyError(f"no bundled instance {name!r}; have {BUNDLED_INSTANCES}")
-    return load_instance(Path(__file__).resolve().parent / "data" / f"{name}.json")
+    data = os.path.join(os.path.dirname(os.path.realpath(__file__)), "data")
+    return load_instance(os.path.join(data, f"{name}.json"))
 
 
 def instance_to_jsonable(instance: CoverageInstance) -> dict:

@@ -10,6 +10,7 @@ from ellplan.bounds import log_e_phi
 from ellplan.certified import (
     Comparison,
     Enclosure,
+    RealExpr,
     RefinementPolicy,
     Verdict,
     E,
@@ -397,6 +398,29 @@ class TestNestedEnclosures:
             extra,
             lambda: 1 - ell * mp.log1p(mp.mpf(1) / ell),
         )
+
+
+
+class _OneSidedThird(RealExpr):
+    """1/3 with valid rounding whose side flips with the parity of the scale."""
+
+    def _fixed(self, w: int) -> tuple[int, int]:
+        n = (1 << w) // 3
+        return (n, n + 1) if w % 2 else (n - 2, n + 1)
+
+
+class TestEnclosePadding:
+    """RealExpr.enclose moves each end out by 2^-g; without that, a descriptor
+    whose interval jumps from one scale to the next would not nest."""
+
+    def test_one_sided_rounding_still_nests(self):
+        third = _OneSidedThird()
+        encs = {p: third.enclose(p) for p in range(1, 211)}
+        for p in range(1, 200):
+            assert encs[p].contains(Fraction(1, 3))
+            assert encs[p].width <= Fraction(1, 1 << p)
+            for q in range(p + 1, p + 12):
+                assert encs[p].contains_interval(encs[q]), (p, q)
 
 
 class TestCmpCertified:
