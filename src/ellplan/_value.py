@@ -13,16 +13,18 @@ A subclass of ``Frozen`` behaves as ``@dataclass(frozen=True)`` did here:
 Instances keep a ``__dict__``, so ``functools.cached_property`` and
 ``object.__setattr__`` inside ``__post_init__`` work on them.
 
-``dataclasses`` is not used because it compiles six methods per class from
-source text at import time.  For this package's value classes that took
-31-34 ms of a 39-42 ms import (timed around ``dataclasses._process_class``
-on 2 vCPUs, Python 3.11.7), and importing ``dataclasses`` also loads
-``inspect``, ``ast``, ``dis`` and ``tokenize``.  Every CLI process paid
-both.
+``dataclasses`` is not used because it builds six methods per class by
+compiling source text at import time, and importing it loads ``inspect``,
+``ast``, ``dis`` and ``tokenize``.  Every CLI process paid for both: with
+this base instead, the package's own import (cumulative ``-X importtime``,
+median of 11 runs with bytecode caches, 2 vCPUs, Python 3.11.7) fell from
+52 ms to 12.5 ms.
 """
 
 
 class Frozen:
+    """Base of an immutable value class; see the module docstring."""
+
     _fields: tuple  # the field names, in order
     _defaults: dict  # field name to default value
     _post_init: object  # the class's __post_init__, or None

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 import ellplan
-import ellplan.cli
 from ellplan._value import Frozen
 from ellplan.bounds import (
     BoundKind,
