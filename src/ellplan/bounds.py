@@ -359,10 +359,9 @@ def check_expansion_agreement(
         ell = _check_ell(ell)
         if ell < 10:
             raise ValueError("expansion agreement is meaningful only for ell >= 10")
-        defect = enclose_exp(sharp_exponent(ell), precision_bits).shift(
-            -_expansion_prefix(ell)
-        )
-        scaled = defect.scale(ell**4)
+        enc = enclose_exp(sharp_exponent(ell), precision_bits)
+        prefix = _expansion_prefix(ell)
+        scaled = Enclosure((enc.lo - prefix) * ell**4, (enc.hi - prefix) * ell**4)
         ok = -envelope < scaled.lo and scaled.hi < envelope
         entries.append(ExpansionEntry(ell, scaled, positive=scaled.lo > 0, ok=ok))
     return ExpansionReport(Fraction(envelope), tuple(entries))

@@ -1,17 +1,18 @@
 """Certified enclosures of e, exp and log(1+x), and certified comparison.
 
-Real values are described by RealExpr trees (rational constants, e, exp and
-log1p of rationals, and +, *, /) and evaluate in integer fixed point: an
-interval at scale w is a pair of ints (lo, hi) standing for
+Real values are described by RealExpr trees (rational constants, e and 1/e,
+exp and log1p of rationals, sums and products) and evaluate in integer fixed
+point: an interval at scale w is a pair of ints (lo, hi) standing for
 [lo * 2^-w, hi * 2^-w], and every step rounds lo down and hi up, so operands
 stay near w bits.  Every series is cut off with an explicit tail bound.
 
 RealExpr.enclose turns such an interval into an Enclosure with dyadic
-Fraction endpoints at most 2^-bits wide, and raising the precision never
-moves an endpoint the wrong way: ``x.enclose(p2)`` is a subset of
-``x.enclose(p1)`` whenever ``p2 >= p1``.  enclose_exp and enclose_log1p are
-that method on exp_of and log1p_of.  enclose_e alone sums its own series in
-exact rationals; it is the kernels' source of e.
+Fraction endpoints at most 2^-bits wide.  Enclosure is only a result type,
+with no arithmetic of its own.  Raising the precision never moves an
+endpoint the wrong way: ``x.enclose(p2)`` is a subset of ``x.enclose(p1)``
+whenever ``p2 >= p1``.  enclose_exp and enclose_log1p are that method on
+exp_of and log1p_of.  enclose_e alone sums its own series in exact
+rationals; it is the kernels' source of e.
 
 cmp_certified evaluates the intervals directly.  Fixed-point rounding is not
 monotone in w, so it intersects each rung with the previous one, and the
@@ -29,8 +30,6 @@ from typing import Iterator, Optional, Union
 
 from ellplan._value import Frozen
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
 
 
@@ -39,12 +38,8 @@ def _as_fraction(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class EncloseError(Exception):
-    """An enclosure could not be formed at the requested precision."""
-
-
-class ZeroStraddle(EncloseError):
-    """Reciprocal of an interval that contains zero at this precision."""
+class ZeroStraddle(Exception):
+    """A fixed-point interval that must exclude zero still contains it."""
 
 
 class PrecisionExhausted(Exception):
@@ -52,15 +47,16 @@ class PrecisionExhausted(Exception):
 
 
 # ---------------------------------------------------------------------------
-# intervals
+# results
 
 
 class Enclosure(Frozen):
     """A closed interval [lo, hi] with exact rational endpoints.
 
-    The interval certifies membership of one real value; all arithmetic here
-    is exact, so the usual outward-rounding worries of floating-point
-    interval libraries do not arise.
+    The interval certifies membership of one real value.  It is what the
+    enclose_* functions return and what callers query through contains,
+    contains_interval and width; values are computed as RealExpr trees, not
+    by arithmetic on enclosures.
     """
 
     lo: Fraction
@@ -90,49 +86,6 @@ class Enclosure(Frozen):
 
     def contains_interval(self, other: "Enclosure") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def straddles_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def __add__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Enclosure") -> "Enclosure":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Enclosure(min(products), max(products))
-
-    def scale(self, q: RationalLike) -> "Enclosure":
-        q = Fraction(q)
-        if q >= 0:
-            return Enclosure(self.lo * q, self.hi * q)
-        return Enclosure(self.hi * q, self.lo * q)
-
-    def shift(self, q: RationalLike) -> "Enclosure":
-        q = Fraction(q)
-        return Enclosure(self.lo + q, self.hi + q)
-
-    def square(self) -> "Enclosure":
-        if self.lo >= 0:
-            return Enclosure(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return Enclosure(self.hi * self.hi, self.lo * self.lo)
-        return Enclosure(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
-
-    def reciprocal(self) -> "Enclosure":
-        if self.straddles_zero():
-            raise ZeroStraddle(f"cannot invert [{self.lo}, {self.hi}]")
-        return Enclosure(1 / self.hi, 1 / self.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +123,6 @@ def enclose_log1p(x: RationalLike, precision_bits: int) -> Enclosure:
     if x < 0:
         raise ValueError("enclose_log1p requires x >= 0")
     return log1p_of(x).enclose(precision_bits)
-
-
-def enclose_exp_interval(enc: Enclosure, precision_bits: int) -> Enclosure:
-    """Enclosure of exp over a whole interval (exp is increasing)."""
-    return Enclosure(
-        enclose_exp(enc.lo, precision_bits).lo,
-        enclose_exp(enc.hi, precision_bits).hi,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +340,6 @@ class RealExpr:
     def __rmul__(self, other):
         return _mul(as_expr(other), self)
 
-    def __truediv__(self, other):
-        return _mul(self, _invert(as_expr(other)))
-
-    def __rtruediv__(self, other):
-        return _mul(as_expr(other), _invert(self))
-
-    def __neg__(self):
-        return _negate(self)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.describe()}>"
 
@@ -575,15 +511,6 @@ def _negate(a: RealExpr) -> RealExpr:
     if xa is not None:
         return _Const(-xa)
     return _Mul(_Const(-1), a)
-
-
-def _invert(a: RealExpr) -> RealExpr:
-    xa = a.exact()
-    if xa is not None:
-        if xa == 0:
-            raise ZeroDivisionError("division by exact zero descriptor")
-        return _Const(1 / xa)
-    return _Inv(a)
 
 
 def inv_e() -> RealExpr:

@@ -9,14 +9,14 @@ Exit codes are part of the contract:
     3  usage, parse, or validation error
 
 Structured output is one schema-tagged line per object (see records).
-Every command runs on one thread; the former `--worker-count` option is
-gone and, like any unknown argument, exits 3.
+Every setting comes from the command line; no environment variable is
+read.  Every command runs on one thread; the former `--worker-count` option
+is gone and, like any unknown argument, exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from fractions import Fraction
@@ -34,6 +34,7 @@ from ellplan.bounds import (
     verify_bounds,
 )
 from ellplan.certified import (
+    DEFAULT_POLICY,
     PrecisionExhausted,
     RefinementPolicy,
     Verdict,
@@ -71,16 +72,14 @@ EXIT_FAILURE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-PRECISION_CAP_ENV = "ELLPLAN_PRECISION_CAP"
-
 _EXPANSION_ELLS = (100, 1000, 10000)
 
 
 class RunConfig(Frozen):
     """Settings shared by every subcommand."""
 
-    precision_start_bits: int = 32
-    precision_cap_bits: int = 4096
+    precision_start_bits: int = DEFAULT_POLICY.start_bits
+    precision_cap_bits: int = DEFAULT_POLICY.cap_bits
     output_format: str = "text"
     seed: Optional[int] = None
 
@@ -111,12 +110,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--precision-start", type=int, default=None, metavar="BITS",
-        help="first rung of the precision ladder (default 32)",
+        "--precision-start", type=int, default=RunConfig.precision_start_bits,
+        metavar="BITS", help="first rung of the precision ladder (default %(default)s)",
     )
     common.add_argument(
-        "--precision-cap", type=int, default=None, metavar="BITS",
-        help=f"last rung of the ladder (default 4096; env {PRECISION_CAP_ENV})",
+        "--precision-cap", type=int, default=RunConfig.precision_cap_bits,
+        metavar="BITS", help="last rung of the ladder (default %(default)s)",
     )
     common.add_argument(
         "--format", choices=("text", "structured", "csv"), default="text",
@@ -187,20 +186,9 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args) -> RunConfig:
-    cap = args.precision_cap
-    if cap is None:
-        raw = os.environ.get(PRECISION_CAP_ENV)
-        if raw is not None:
-            try:
-                cap = int(raw)
-            except ValueError:
-                raise ValueError(f"{PRECISION_CAP_ENV} must be an integer, got {raw!r}")
-    if cap is None:
-        cap = 4096
-    start = args.precision_start if args.precision_start is not None else 32
     return RunConfig(
-        precision_start_bits=start,
-        precision_cap_bits=cap,
+        precision_start_bits=args.precision_start,
+        precision_cap_bits=args.precision_cap,
         output_format=args.format,
         seed=args.seed,
     )
@@ -592,7 +580,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except PrecisionExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (InstanceFormatError, FileNotFoundError) as exc:
+    except (InstanceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

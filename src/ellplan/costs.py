@@ -18,15 +18,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ellplan._value import Frozen
-from ellplan.certified import (
-    DEFAULT_POLICY,
-    Enclosure,
-    RefinementPolicy,
-    enclose_e,
-    enclose_exp_interval,
-    enclose_log1p,
-)
-from ellplan.planner import EpsSpec, RationalLike, plan
+from ellplan.certified import DEFAULT_POLICY, RationalLike, RefinementPolicy
+from ellplan.planner import EpsSpec, plan
 
 
 def decimal_digit_count(n: int) -> int:
@@ -110,26 +103,6 @@ def savings_factor(ell_hi: int, ell_lo: int) -> BigMagnitude:
     if ell_hi < ell_lo:
         raise ValueError(f"savings need ell_hi >= ell_lo, got {ell_hi} < {ell_lo}")
     return BigMagnitude.from_int(1 << (ell_hi - ell_lo))
-
-
-_DECOMP_BITS = 128
-
-
-def decomposition_exponents(
-    eps: Union[EpsSpec, RationalLike], bits: int = _DECOMP_BITS
-) -> tuple[Enclosure, Enclosure]:
-    """Enclosures of the two per-eps savings exponents.
-
-    The total exponent (1 - 1/(2e))/eps splits as (1 - 2/e)/eps from the
-    depth gap and (3/(2e))/eps from the rounding economy; the identity
-    (1 - 2/e) + 3/(2e) = 1 - 1/(2e) makes the enclosure sum contain the
-    total automatically.
-    """
-    value = eps.eps if isinstance(eps, EpsSpec) else EpsSpec.from_rational(eps).eps
-    enc = enclose_e(bits)
-    first = Enclosure((1 - 2 / enc.lo) / value, (1 - 2 / enc.hi) / value)
-    second = Enclosure(3 / (2 * enc.hi * value), 3 / (2 * enc.lo * value))
-    return first, second
 
 
 class TableRow(Frozen):
@@ -278,46 +251,6 @@ def check_against_expected(
             if not mantissa_adjacent(mag.sci_mantissa, mag.sci_exponent, m, e):
                 bad.append(CellMismatch(label, column, f"{m}e{e}", mag.sci))
     return TableCheck(tuple(bad))
-
-
-class GainEntry(Frozen):
-    eps: EpsSpec
-    gap: int
-
-
-class GainReport(Frozen):
-    """Observed ell_ps - ell_star gaps against the 2^(17/12) headroom claim."""
-
-    entries: tuple[GainEntry, ...]
-    bound_log2: Fraction
-
-    @property
-    def max_gap(self) -> int:
-        return max(e.gap for e in self.entries)
-
-    @property
-    def ok(self) -> bool:
-        # gap <= 1 means the sharp refinement buys at most a factor of 2,
-        # inside the 2^(17/12) ~ 2.67 allowance
-        return self.max_gap <= 1
-
-    def bound_factor(self, bits: int = 64) -> Enclosure:
-        log2 = enclose_log1p(Fraction(1), bits)
-        scaled = Enclosure(self.bound_log2 * log2.lo, self.bound_log2 * log2.hi)
-        return enclose_exp_interval(scaled, bits)
-
-
-def sharp_gain_bound_check(
-    eps_list: Optional[Sequence[Union[EpsSpec, RationalLike]]] = None,
-    policy: RefinementPolicy = DEFAULT_POLICY,
-) -> GainReport:
-    rows = reproduce_table(eps_list, policy)
-    return GainReport(
-        entries=tuple(
-            GainEntry(r.eps, r.ell_ps - r.ell_star) for r in rows
-        ),
-        bound_log2=Fraction(17, 12),
-    )
 
 
 _TEXT_HEADERS = ("eps", "ell_bf", "ell_ps", "ell_star", "factor_ps", "factor_star")

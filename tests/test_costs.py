@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,18 +15,16 @@ from ellplan.costs import (
     ExpectedRow,
     check_against_expected,
     decimal_digit_count,
-    decomposition_exponents,
     format_eps,
     mantissa_adjacent,
     render_table_csv,
     render_table_text,
     reproduce_table,
     savings_factor,
-    sharp_gain_bound_check,
 )
-from ellplan.planner import EpsSpec
+from ellplan.planner import EpsSpec, ell_bf, ell_ps
 
-from conftest import GOLDEN_DIR, mpf_to_fraction
+from conftest import GOLDEN_DIR
 
 
 class TestDigitCount:
@@ -148,32 +147,38 @@ class TestSavingsFactor:
             savings_factor(0, 0)
 
 
-class TestDecomposition:
-    def test_reference_values_at_unit_eps(self):
-        first, second = decomposition_exponents(Fraction(1))
-        with mp.workdps(50):
-            a = mpf_to_fraction(1 - 2 / mp.e)
-            b = mpf_to_fraction(3 / (2 * mp.e))
-        assert first.contains(a) and second.contains(b)
-        assert first.lo > Fraction(2642, 10**4) and first.hi < Fraction(2643, 10**4)
-        assert second.lo > Fraction(5518, 10**4) and second.hi < Fraction(5519, 10**4)
+def _random_slacks(count: int, seed: int) -> list[Fraction]:
+    """Seeded slacks in (1e-5, 1/2), spread over the decades."""
+    rng = random.Random(seed)
+    slacks = []
+    while len(slacks) < count:
+        eps = Fraction(rng.randint(1, 10**4), 10**4) / 10 ** rng.randint(0, 5)
+        if Fraction(1, 10**5) < eps < Fraction(1, 2):
+            slacks.append(eps)
+    return slacks
 
-    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 10), Fraction(1, 100)])
-    def test_sum_encloses_total(self, eps):
-        first, second = decomposition_exponents(eps)
+
+class TestSavingsExponent:
+    """The abstract's 2^(0.816/eps) savings, against the planner's depths.
+
+    ell_bf - ell_ps = 1 + ceil(1/eps) - ceil(1/(2 e eps)), and the two
+    ceilings each add less than 1, so the gap exceeds the total exponent
+    (1 - 1/(2e))/eps = 0.8160.../eps by more than 0 and less than 2.
+    """
+
+    @pytest.mark.parametrize(
+        "slacks",
+        [[spec.eps for spec in PAPER_EPS], _random_slacks(200, 20260)],
+        ids=["reference", "random"],
+    )
+    def test_gap_tracks_exponent(self, slacks):
         with mp.workdps(60):
-            total = mpf_to_fraction((1 - 1 / (2 * mp.e)) / mp.mpf(f"{eps}"))
-        assert (first + second).contains(total)
-
-    def test_scaling_by_ten(self):
-        first, second = decomposition_exponents(Fraction(1, 10))
-        total = first + second
-        assert total.lo > Fraction(8160, 1000) and total.hi < Fraction(8161, 1000)
-
-    def test_accepts_eps_spec(self):
-        a1, _ = decomposition_exponents(EpsSpec(Fraction(1, 10)))
-        a2, _ = decomposition_exponents(Fraction(1, 10))
-        assert a1 == a2
+            total = 1 - 1 / (2 * mp.e)
+            for eps in slacks:
+                bf, ps = ell_bf(eps), ell_ps(eps)
+                excess = bf - ps - total * eps.denominator / eps.numerator
+                assert 0 < excess < 2, (eps, excess)
+                assert savings_factor(bf, ps).exact == 2 ** (bf - ps)
 
 
 class TestReproduceTable:
@@ -246,33 +251,6 @@ class TestCheckAgainstExpected:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             check_against_expected(reproduce_table([Fraction(1, 10)]), EXPECTED_TABLE)
-
-
-class TestSharpGainBound:
-    def test_reference_gaps(self):
-        report = sharp_gain_bound_check()
-        assert report.ok
-        assert report.max_gap == 1
-        gaps = {format_eps(e.eps): e.gap for e in report.entries}
-        assert gaps == {"1e-1": 0, "5e-2": 0, "1e-2": 1, "1e-3": 0, "1e-4": 1}
-
-    def test_bound_factor_value(self):
-        enc = sharp_gain_bound_check([Fraction(1, 10)]).bound_factor()
-        with mp.workdps(40):
-            oracle = mpf_to_fraction(mp.power(2, mp.mpf(17) / 12))
-        assert enc.contains(oracle)
-        assert enc.lo > Fraction(26696, 10**4) and enc.hi < Fraction(26698, 10**4)
-
-    def test_random_eps_gaps(self):
-        # deterministic pseudo-random slacks in (1e-5, 1e-1)
-        import random
-
-        rng = random.Random(171717)
-        samples = [
-            Fraction(rng.randint(11, 10**5 - 1), 10**6) for _ in range(50)
-        ]
-        report = sharp_gain_bound_check(samples)
-        assert all(e.gap in (0, 1) for e in report.entries)
 
 
 class TestFormatEps:

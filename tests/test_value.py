@@ -32,8 +32,6 @@ from ellplan.cli import RunConfig
 from ellplan.costs import (
     EXPECTED_TABLE,
     CellMismatch,
-    GainEntry,
-    GainReport,
     TableCheck,
     TableRow,
     savings_factor,
@@ -61,7 +59,6 @@ def _examples() -> list:
     uniform = bundled_instance("three_cover")
     check = check_monotone_submodular(gap)
     mismatch = CellMismatch("1e-2", "ell_star", "18", "19")
-    gain = GainEntry(depth_plan.eps, depth_plan.gap)
     return [
         enclose_e(64),
         cmp_certified(Fraction(1, 3), inv_e()),
@@ -79,8 +76,6 @@ def _examples() -> list:
         EXPECTED_TABLE[2],
         mismatch,
         TableCheck((mismatch,)),
-        gain,
-        GainReport((gain,), Fraction(17, 12)),
         uniform.matroid,
         gap.matroid.blocks[0],
         gap.matroid,
