@@ -12,6 +12,7 @@ import random
 import sys
 from fractions import Fraction
 
+from ellplan.cli import EXIT_USAGE
 from ellplan.testbed import (
     brute_force_opt,
     generate_random_instance,
@@ -60,4 +61,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+    except BrokenPipeError as exc:
+        # a closed output pipe (`| head -1`) is reported as the CLI reports it
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    sys.exit(code)

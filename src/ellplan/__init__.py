@@ -10,7 +10,6 @@ from ellplan.bounds import (
     BoundKind,
     phi,
     rho,
-    verify_bound,
     verify_bound_ordering,
     verify_bounds,
 )
@@ -37,7 +36,6 @@ from ellplan.planner import (
     EpsSpec,
     asymptotic_residual,
     certificate_sharp,
-    certified_minimal,
     ell_bf,
     ell_ps,
     ell_star,
@@ -54,7 +52,6 @@ from ellplan.testbed import (
     greedy,
     load_instance,
     ratio_report,
-    subset_query_cost,
 )
 
 __all__ = [
@@ -74,7 +71,6 @@ __all__ = [
     "brute_force_opt",
     "bundled_instance",
     "certificate_sharp",
-    "certified_minimal",
     "check_against_expected",
     "check_monotone_submodular",
     "cmp_certified",
@@ -94,8 +90,6 @@ __all__ = [
     "reproduce_table",
     "rho",
     "savings_factor",
-    "subset_query_cost",
-    "verify_bound",
     "verify_bound_ordering",
     "verify_bounds",
 ]

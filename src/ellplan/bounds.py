@@ -1,4 +1,4 @@
-"""The ratio-gap function phi(ell) = (1+1/ell)^(-ell) and its certified bounds.
+"""The function phi(ell) = (1+1/ell)^(-ell) = 1 - rho(ell) and its certified bounds.
 
 Every certified claim about phi compares log_e_phi(ell) = log(e*phi(ell)) =
 1 - ell*log1p(1/ell) with the log of the claim's e-scaled right side, as the
@@ -194,19 +194,6 @@ def verify_bounds(
         )
         for kind, out in entries.items()
     }
-
-
-def verify_bound(
-    kind: BoundKind,
-    lo: int,
-    hi: int,
-    policy: RefinementPolicy = DEFAULT_POLICY,
-) -> SweepReport:
-    """Certify phi(ell) <= bound(kind, ell) for every ell in [lo, hi]."""
-    _check_ell(lo)
-    if lo < kind.min_ell:
-        raise ValueError(f"{kind.value} bound needs ell >= {kind.min_ell}")
-    return verify_bounds([kind], lo, hi, policy)[kind]
 
 
 _ORDER_CHAIN = (

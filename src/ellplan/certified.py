@@ -43,7 +43,7 @@ class ZeroStraddle(Exception):
 
 
 class PrecisionExhausted(Exception):
-    """A caller demanded a resolved verdict past the refinement cap."""
+    """A caller demanded a verdict past the refinement cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +266,8 @@ def _working_scale(bits: int) -> int:
     guard sets the rung at which comparisons separate, which the sweeps and
     plans report as bits_used and precision_used: every sweep comparison up
     to ell = 10^4 separates at the 32-bit rung (w = 60; w = 57 is the least
-    that resolves every sweep).  A small rung still cannot separate a gap
-    far below 2^-b: at 16 bits (w = 28) a gap of 2^-29.6 stays unresolved.
+    that resolves every sweep).  A small rung still cannot separate values
+    much closer than 2^-b: at 16 bits (w = 28), 2^-29.6 apart stays unresolved.
     """
     return bits + min(max(bits - 4, 8), 40)
 
@@ -540,10 +540,6 @@ class Comparison(Frozen):
     verdict: Verdict
     bits_used: int
 
-    @property
-    def resolved(self) -> bool:
-        return self.verdict is not Verdict.UNRESOLVED
-
 
 class RefinementPolicy(Frozen):
     """Geometric precision ladder for comparisons: start, double, cap."""
@@ -572,7 +568,7 @@ DEFAULT_POLICY = RefinementPolicy()
 
 # Both sides below 2^-5 in size count as small: a rung then refines by the
 # leading zero bits they share.  Larger values compare at the rung's own
-# scale, so a 16-bit rung still leaves a gap of 2^-29.6 on values near 0.09
+# scale, so a 16-bit rung still leaves a difference of 2^-29.6 near 0.09
 # unresolved.
 _SMALL_LEAD = 5
 

@@ -30,6 +30,7 @@ from ellplan.bounds import (
     check_log_tail4,
     check_log_weak,
     ordering_exception_at_one,
+    phi_floor_sweep,
     verify_bound_ordering,
     verify_bounds,
 )
@@ -141,7 +142,10 @@ def _build_parser() -> _Parser:
         "verify", parents=[common], help="run a certified verification suite"
     )
     p_verify.add_argument(
-        "--suite", choices=("bounds", "logs", "ordering", "expansion"), required=True
+        "--suite", choices=("bounds", "logs", "ordering", "expansion"), required=True,
+        help="bounds: phi under the four upper bounds and above the 1/e floor; "
+        "ordering: the chain between the bounds; logs: three log(1+x) lower "
+        "bounds on --grid; expansion: the cubic expansion at 10^2..10^4",
     )
     p_verify.add_argument(
         "--lmax", type=int, default=1000, help="largest depth to sweep"
@@ -301,6 +305,7 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
             raise ValueError("--lmax must be at least 1")
         reports = verify_bounds(list(BoundKind), 1, args.lmax, config.policy)
         ordered = [reports[kind] for kind in BoundKind]
+        ordered.append(phi_floor_sweep(1, args.lmax, config.policy))
         for report in ordered:
             _sweep_lines(report, config, out)
         return _sweep_exit(ordered)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from ellplan._value import Frozen
 from ellplan.certified import DEFAULT_POLICY, RationalLike, RefinementPolicy
-from ellplan.planner import EpsSpec, plan
+from ellplan.planner import EpsSpec, ell_bf, ell_ps, ell_star
 
 
 def decimal_digit_count(n: int) -> int:
@@ -66,11 +66,6 @@ class BigMagnitude(Frozen):
             m = 10
             exponent = d
         return cls(n, f"{m // 10}.{m % 10}", exponent)
-
-    @property
-    def mantissa_units(self) -> int:
-        """The mantissa as an integer in 10..99 ("4.8" -> 48)."""
-        return int(self.sci_mantissa.replace(".", ""))
 
     @property
     def sci(self) -> str:
@@ -176,14 +171,16 @@ def format_eps(eps: Union[EpsSpec, Fraction]) -> str:
 
 
 def _row_for(eps: EpsSpec, policy: RefinementPolicy) -> TableRow:
-    p = plan(eps, policy)
+    # the three depths only: a full plan() would also build the exact
+    # rho(ell_star) and the sharp certificate, and a row uses neither
+    bf, ps, star = ell_bf(eps), ell_ps(eps, policy), ell_star(eps, policy)
     return TableRow(
         eps=eps,
-        ell_bf=p.ell_bf,
-        ell_ps=p.ell_ps,
-        ell_star=p.ell_star,
-        factor_ps=savings_factor(p.ell_bf, p.ell_ps),
-        factor_star=savings_factor(p.ell_bf, p.ell_star),
+        ell_bf=bf,
+        ell_ps=ps,
+        ell_star=star,
+        factor_ps=savings_factor(bf, ps),
+        factor_star=savings_factor(bf, star),
     )
 
 

@@ -175,27 +175,6 @@ def ell_star(
     return _ell_star_search(_eps_value(eps), policy)[1]
 
 
-def certified_minimal(
-    ell: int,
-    eps: Union[EpsSpec, RationalLike],
-    policy: RefinementPolicy = DEFAULT_POLICY,
-) -> bool:
-    """Direct two-sided minimality check for a claimed depth.
-
-    True iff phi(ell) <= 1/e + eps and, when ell > 1, phi(ell - 1) > 1/e +
-    eps, both by certified comparison.  It shares nothing with the planner's
-    walk, so it checks a claimed depth independently.
-    """
-    value = _eps_value(eps)
-    at, _ = _probe(ell, value, policy)
-    if not at:
-        return False
-    if ell == 1:
-        return True
-    below, _ = _probe(ell - 1, value, policy)
-    return not below
-
-
 def certificate_sharp(
     ell: int,
     eps: Union[EpsSpec, RationalLike],
@@ -255,16 +234,6 @@ class EllPlan(Frozen):
     certificate_holds_at_star: bool
     precision_used: int
 
-    @property
-    def gap(self) -> int:
-        """ell_ps - ell_star; observed to be 0 or 1 on every tested slack."""
-        return self.ell_ps - self.ell_star
-
-    @property
-    def ps_within_bf(self) -> bool:
-        """Reported, not enforced: the closed form undercuts brute force."""
-        return self.ell_ps <= self.ell_bf
-
 
 def plan(
     eps: Union[EpsSpec, RationalLike, str],
@@ -276,7 +245,7 @@ def plan(
     on eps and the policy ladder.  The walk's final probes, feasible at
     ell_star and infeasible at ell_star - 1, certify minimality from both
     sides; starting from ell_ps, which Polya-Szego makes feasible, they cost
-    ell_ps - ell_star + 2 probes, and that gap is 0 or 1 on every tested
+    ell_ps - ell_star + 2 probes, and that difference is 0 or 1 on every tested
     slack.
     """
     if isinstance(eps, str):

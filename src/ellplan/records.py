@@ -287,11 +287,5 @@ def parse_record(line: str):
         raise RecordError(f"record missing field {exc.args[0]!r}") from exc
 
 
-def render_records(objects) -> str:
-    """Many records, one per line, with a trailing newline if non-empty."""
-    lines = [render_record(obj) for obj in objects]
-    return "".join(line + "\n" for line in lines)
-
-
 def parse_records(text: str) -> list:
     return [parse_record(line) for line in text.splitlines() if line.strip()]

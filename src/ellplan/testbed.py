@@ -18,7 +18,6 @@ import os
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import lcm
 from typing import AbstractSet, Callable, Iterable, Optional, Union
 
@@ -37,7 +36,6 @@ from ellplan.planner import EpsSpec, depth_comparison, ell_star
 
 BRUTE_FORCE_LIMIT = 20  # 2^n enumeration
 CHECK_LIMIT = 12  # 3^n subset pairs
-SUBSET_COST_LIMIT = 30
 
 LOCAL_SEARCH_NOTE = "depth-ell local search not implemented; targets and baselines only"
 
@@ -175,10 +173,6 @@ class CoverageInstance(Frozen):
         return sum(
             min(b.capacity, len(b.members)) for b in self.matroid.blocks
         )
-
-    @property
-    def total_weight(self) -> Fraction:
-        return sum((w for _, w in self.universe), Fraction(0))
 
 
 def f_eval(
@@ -561,24 +555,6 @@ def ratio_report(
         oracle_calls_greedy=greedy_counter.count,
         seed=seed,
     )
-
-
-def subset_query_cost(ell: int) -> int:
-    """Materialize and count all subsets of a size-ell set (= 2^ell).
-
-    This is the per-evaluation enumeration the 2^ell cost factor talks
-    about, made concrete.
-    """
-    if not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
-        raise ValueError(f"ell must be a positive integer, got {ell!r}")
-    if ell > SUBSET_COST_LIMIT:
-        raise ValueError(f"enumeration limited to ell <= {SUBSET_COST_LIMIT}")
-    base = range(ell)
-    count = 0
-    for k in range(ell + 1):
-        for _ in combinations(base, k):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

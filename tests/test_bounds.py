@@ -8,7 +8,6 @@ from mpmath import mp
 
 from ellplan.certified import (
     E,
-    RefinementPolicy,
     Verdict,
     cmp_certified,
     const,
@@ -30,7 +29,6 @@ from ellplan.bounds import (
     phi_strictly_decreasing,
     rho,
     sharp_exponent,
-    verify_bound,
     verify_bound_ordering,
     verify_bounds,
 )
@@ -105,21 +103,15 @@ class TestBoundValues:
 class TestVerifyBound:
     @pytest.mark.parametrize("kind", list(BoundKind))
     def test_small_sweep_all_pass(self, kind):
-        report = verify_bound(kind, kind.min_ell, 300)
+        report = verify_bounds([kind], kind.min_ell, 300)[kind]
         assert report.all_ok
         assert len(report.entries) == 300 - kind.min_ell + 1
         assert not report.inconclusive
 
-    def test_precondition_rejected(self):
-        with pytest.raises(ValueError):
-            verify_bound(BoundKind.LOOSE_LINEAR, 1, 1)
-
     def test_multi_kind_pass_matches_single(self):
         combined = verify_bounds([BoundKind.POLYA_SZEGO, BoundKind.SHARP], 1, 50)
-        assert combined[BoundKind.POLYA_SZEGO] == verify_bound(
-            BoundKind.POLYA_SZEGO, 1, 50
-        )
-        assert combined[BoundKind.SHARP] == verify_bound(BoundKind.SHARP, 1, 50)
+        for kind in (BoundKind.POLYA_SZEGO, BoundKind.SHARP):
+            assert combined[kind] == verify_bounds([kind], 1, 50)[kind]
 
 
 class TestOrdering:

@@ -116,8 +116,9 @@ class TestVerifyCommand:
     def test_bounds_suite(self):
         code, text = run("verify", "--suite", "bounds", "--lmax", "60")
         assert code == EXIT_OK
-        assert text.count("pass") == 4
+        assert text.count("pass") == 5
         assert "phi <= sharp" in text
+        assert "pass  phi > 1/e on [1, 60]: 60/60 certified" in text.splitlines()
 
     def test_ordering_suite_notes_the_exception(self):
         code, text = run("verify", "--suite", "ordering", "--lmax", "50")
@@ -159,8 +160,10 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK
         docs = [json.loads(line) for line in text.splitlines()]
-        assert len(docs) == 4
+        assert len(docs) == 5
         assert all(doc["kind"] == "sweep" and doc["all_ok"] for doc in docs)
+        assert docs[-1]["label"] == "phi > 1/e on [1, 40]"
+        assert docs[-1]["checked"] == 40
 
     def test_worker_count_is_an_unknown_argument(self):
         with pytest.raises(SystemExit) as err:

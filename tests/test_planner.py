@@ -17,11 +17,10 @@ from ellplan.certified import (
     inv_e,
 )
 from ellplan.planner import (
-    EllPlan,
     EpsSpec,
     asymptotic_residual,
     certificate_sharp,
-    certified_minimal,
+    depth_comparison,
     ell_bf,
     ell_ps,
     ell_star,
@@ -165,7 +164,10 @@ class TestEllStar:
     @given(st.fractions(min_value=Fraction(1, 2000), max_value=Fraction(1, 2)))
     @settings(max_examples=40)
     def test_minimality_both_sides(self, eps):
-        assert certified_minimal(ell_star(eps), eps)
+        star = ell_star(eps)
+        assert depth_comparison(star, eps).verdict is Verdict.LESS
+        if star > 1:
+            assert depth_comparison(star - 1, eps).verdict is Verdict.GREATER
 
     @given(st.fractions(min_value=Fraction(1, 2000), max_value=Fraction(1, 2)))
     @settings(max_examples=40)
@@ -176,18 +178,22 @@ class TestEllStar:
 
 
 class TestCertifiedMinimal:
+    # 184 is minimal for 1/1000 when it is feasible and 183 is not
     def test_accepts_true_minimum(self):
-        assert certified_minimal(184, Fraction(1, 1000))
+        assert depth_comparison(184, Fraction(1, 1000)).verdict is Verdict.LESS
+        assert depth_comparison(183, Fraction(1, 1000)).verdict is Verdict.GREATER
 
     def test_rejects_too_small(self):
-        assert not certified_minimal(183, Fraction(1, 1000))
+        assert depth_comparison(183, Fraction(1, 1000)).verdict is Verdict.GREATER
 
     def test_rejects_too_large(self):
-        assert not certified_minimal(185, Fraction(1, 1000))
+        # 185 is feasible, but so is the depth below it
+        assert depth_comparison(185, Fraction(1, 1000)).verdict is Verdict.LESS
+        assert depth_comparison(184, Fraction(1, 1000)).verdict is Verdict.LESS
 
     def test_depth_one(self):
-        assert certified_minimal(1, Fraction(1, 5))
-        assert not certified_minimal(1, Fraction(1, 10))
+        assert depth_comparison(1, Fraction(1, 5)).verdict is Verdict.LESS
+        assert depth_comparison(1, Fraction(1, 10)).verdict is Verdict.GREATER
 
 
 class TestCertificateSharp:
@@ -288,9 +294,10 @@ class TestPlan:
 
     def test_gap_and_reporting_properties(self):
         p = plan("1e-3")
-        assert p.gap == 0
-        assert plan("1e-2").gap == 1
-        assert p.ps_within_bf
+        assert p.ell_ps - p.ell_star == 0
+        q = plan("1e-2")
+        assert q.ell_ps - q.ell_star == 1
+        assert p.ell_ps <= p.ell_bf
 
     def test_accepts_spec_fraction_and_string(self):
         a = plan("0.05")
@@ -325,6 +332,8 @@ class TestPlan:
     @settings(max_examples=60)
     def test_minimality_on_millis_grid(self, k):
         p = plan(Fraction(k, 1000))
-        assert certified_minimal(p.ell_star, p.eps)
-        assert p.gap in (0, 1)
-        assert p.ps_within_bf
+        assert depth_comparison(p.ell_star, p.eps).verdict is Verdict.LESS
+        if p.ell_star > 1:
+            assert depth_comparison(p.ell_star - 1, p.eps).verdict is Verdict.GREATER
+        assert p.ell_ps - p.ell_star in (0, 1)
+        assert p.ell_ps <= p.ell_bf

@@ -13,7 +13,6 @@ from ellplan.records import (
     parse_records,
     render_line,
     render_record,
-    render_records,
 )
 from ellplan.testbed import PropertyCheck, bundled_instance, ratio_report
 
@@ -45,7 +44,9 @@ class TestRoundTrip:
         assert parse_record(render_record(sample_report)) == sample_report
 
     def test_many_lines(self, sample_plan, sample_rows):
-        text = render_records([sample_plan, *sample_rows])
+        text = "".join(
+            render_record(obj) + "\n" for obj in [sample_plan, *sample_rows]
+        )
         assert text.count("\n") == 3
         parsed = parse_records(text)
         assert parsed == [sample_plan, *sample_rows]

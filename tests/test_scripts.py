@@ -1,37 +1,46 @@
-"""Smoke tests: each script in scripts/ runs to exit 0 on a small input.
+"""Smoke tests for the script in scripts/, run in-process through runpy.
 
-The scripts import public names from the package, so running them catches a
-name that was removed or renamed.  They run in-process through runpy, which
-avoids an interpreter start-up per script.
+The script imports public names from the package, so running it catches a
+name that was removed or renamed; runpy avoids an interpreter start-up.
 """
 
+import contextlib
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
+from ellplan.cli import EXIT_USAGE
+
+FIND_GAP = Path(__file__).resolve().parent.parent / "scripts" / "find_gap_instance.py"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, as under `| head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _run(monkeypatch, *args) -> int:
+    monkeypatch.setattr(sys, "argv", [str(FIND_GAP), *args])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(FIND_GAP), run_name="__main__")
+    return exit_info.value.code
 
 
 @pytest.mark.parametrize(
-    "script,args,header",
-    [
-        ("sweep_bounds.py", ["--lmax", "50"], "# four upper bounds, "),
-        (
-            "reproduce_table.py",
-            [],
-            "       eps   ell_bf   ell_ps  ell_star   factor_ps  factor_star",
-        ),
-        ("find_gap_instance.py", ["--count", "20"], "# 20 instances, "),
-    ],
-    ids=["sweep_bounds", "reproduce_table", "find_gap_instance"],
+    "args,header", [(["--count", "20"], "# 20 instances, ")], ids=["find_gap_instance"]
 )
-def test_script_runs(script, args, header, monkeypatch, capsys):
-    path = SCRIPTS_DIR / script
-    monkeypatch.setattr(sys, "argv", [str(path), *args])
-    with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(path), run_name="__main__")
-    assert exit_info.value.code == 0
+def test_script_runs(args, header, monkeypatch, capsys):
+    assert _run(monkeypatch, *args) == 0
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith(header) for line in lines), lines[:5]
+
+
+def test_closed_pipe_is_usage_error(monkeypatch, capsys):
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        code = _run(monkeypatch, "--count", "20")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -28,7 +28,6 @@ from ellplan.testbed import (
     load_instance,
     parse_instance,
     ratio_report,
-    subset_query_cost,
 )
 from ellplan.testbed import _scaled
 
@@ -113,8 +112,8 @@ class TestInstanceValidation:
         assert three_cover.rank == 2
         assert greedy_gap.n == 3
         assert greedy_gap.rank == 2
-        assert three_cover.total_weight == 3
-        assert greedy_gap.total_weight == 19
+        assert sum(w for _, w in three_cover.universe) == 3
+        assert sum(w for _, w in greedy_gap.universe) == 19
 
     def test_duplicate_items_rejected(self):
         with pytest.raises(ValueError, match="duplicate universe"):
@@ -397,23 +396,6 @@ class TestRatioReport:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="n <= 20"):
             ratio_report(single_item_instance(21), "1e-1")
-
-
-class TestSubsetQueryCost:
-    def test_matches_power_of_two_through_twenty(self):
-        for ell in range(1, 21):
-            assert subset_query_cost(ell) == 2**ell
-
-    def test_per_evaluation_cost_at_nineteen(self):
-        assert subset_query_cost(19) == 524288
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            subset_query_cost(0)
-        with pytest.raises(ValueError):
-            subset_query_cost(31)
-        with pytest.raises(ValueError):
-            subset_query_cost(True)
 
 
 class TestGenerateRandom:

@@ -19,7 +19,7 @@ from ellplan.bounds import (
     BoundKind,
     check_expansion_agreement,
     check_log_weak,
-    verify_bound,
+    verify_bounds,
 )
 from ellplan.certified import (
     Enclosure,
@@ -53,11 +53,11 @@ def _examples() -> list:
     depth_plan = plan("1e-2")
     factor = savings_factor(depth_plan.ell_bf, depth_plan.ell_star)
     first = BoundKind.SHARP.min_ell
-    sweep = verify_bound(BoundKind.SHARP, first, first + 1)
+    sweep = verify_bounds([BoundKind.SHARP], first, first + 1)[BoundKind.SHARP]
     expansion = check_expansion_agreement([10])
-    gap = bundled_instance("greedy_gap")
+    greedy_gap = bundled_instance("greedy_gap")
     uniform = bundled_instance("three_cover")
-    check = check_monotone_submodular(gap)
+    check = check_monotone_submodular(greedy_gap)
     mismatch = CellMismatch("1e-2", "ell_star", "18", "19")
     return [
         enclose_e(64),
@@ -77,12 +77,12 @@ def _examples() -> list:
         mismatch,
         TableCheck((mismatch,)),
         uniform.matroid,
-        gap.matroid.blocks[0],
-        gap.matroid,
-        gap,
-        _scaled(gap),
+        greedy_gap.matroid.blocks[0],
+        greedy_gap.matroid,
+        greedy_gap,
+        _scaled(greedy_gap),
         check,
-        ratio_report(gap, "1e-1", seed=11),
+        ratio_report(greedy_gap, "1e-1", seed=11),
         InstanceCheck.from_check("greedy_gap", check),
         RunConfig(32, 4096, "structured", 7),
     ]
