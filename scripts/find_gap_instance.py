@@ -12,7 +12,7 @@ import random
 import sys
 from fractions import Fraction
 
-from ellplan.cli import EXIT_USAGE
+from ellplan.cli import EXIT_USAGE, _stdout_to_devnull
 from ellplan.testbed import (
     brute_force_opt,
     generate_random_instance,
@@ -63,8 +63,10 @@ def main() -> int:
 if __name__ == "__main__":
     try:
         code = main()
+        sys.stdout.flush()
     except BrokenPipeError as exc:
         # a closed output pipe (`| head -1`) is reported as the CLI reports it
+        _stdout_to_devnull()
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     sys.exit(code)

@@ -16,6 +16,15 @@ e-scaled factors satisfy ell/(ell-1) <= 1 + 2/ell for ell >= 2 with equality
 exactly at ell = 2, so the certified chain runs
 
     sharp <= polya-szego <= loose-recip <= loose-linear      (ell >= 2).
+
+The three sweeps (verify_bounds, phi_floor_sweep, verify_bound_ordering)
+evaluate both sides of each check straight from the fixed-point kernels at
+the first rung's working scale, without building a RealExpr per check; the
+integers are exactly those cmp_certified's first rung would compare.  A
+check whose intervals are disjoint there is recorded at the first rung,
+which is where cmp_certified would decide it too; any other check goes
+through cmp_certified on the same descriptors.  Every verdict and bits_used
+in a SweepReport is therefore the one cmp_certified gives.
 """
 
 from __future__ import annotations
@@ -33,6 +42,11 @@ from ellplan.certified import (
     RealExpr,
     RefinementPolicy,
     Verdict,
+    _ceil_div,
+    _exp_fixed,
+    _log1p_fixed,
+    _rational_fixed,
+    _working_scale,
     cmp_certified,
     const,
     enclose_exp,
@@ -92,8 +106,9 @@ class BoundKind(Enum):
 
 
 def sharp_exponent(ell: int) -> Fraction:
+    """1/(2 ell) - 1/(3 ell^2) + 1/(4 ell^3), over one denominator."""
     ell = _check_ell(ell)
-    return Fraction(1, 2 * ell) - Fraction(1, 3 * ell**2) + Fraction(1, 4 * ell**3)
+    return Fraction(6 * ell * ell - 4 * ell + 3, 12 * ell**3)
 
 
 def bound_factor(kind: BoundKind, ell: int) -> RealExpr:
@@ -165,6 +180,56 @@ class SweepReport(Frozen):
         return "; ".join(parts)
 
 
+def _log_e_phi_fixed(ell: int, w: int) -> tuple[int, int]:
+    """log_e_phi(ell)._fixed(w), straight from the log1p kernel.
+
+    The tree 1 - ell*log1p(1/ell) evaluates its product one bit finer for
+    the factor -1 and ell.bit_length() bits finer for the factor ell, and
+    each scaling rounds outward; these are the same integer steps.
+    """
+    extra = ell.bit_length()
+    lo, hi = _log1p_fixed(1, ell, w + 1 + extra)
+    lo, hi = ell * lo >> extra, _ceil_div(ell * hi, 1 << extra)
+    one = 1 << w
+    return one + (-hi >> 1), one + _ceil_div(-lo, 2)
+
+
+def _log_target_fixed(kind: BoundKind, ell: int, w: int) -> tuple[int, int]:
+    # _log_bound_factor(kind, ell)._fixed(w): log1p(factor - 1) in lowest
+    # terms, or the sharp exponent itself
+    if kind is BoundKind.LOOSE_RECIP:
+        return _log1p_fixed(1, ell - 1, w)
+    if kind is BoundKind.LOOSE_LINEAR:
+        return _log1p_fixed(1, ell >> 1, w) if ell % 2 == 0 else _log1p_fixed(2, ell, w)
+    if kind is BoundKind.POLYA_SZEGO:
+        return _log1p_fixed(1, 2 * ell, w)
+    return _rational_fixed(sharp_exponent(ell), w)
+
+
+def _decide(ia, ib, policy: RefinementPolicy, descriptors) -> tuple[Verdict, int]:
+    """Verdict and bits of cmp_certified(*descriptors(), policy).
+
+    ia and ib are the two sides at the first rung's working scale.  Disjoint
+    intervals there are cmp_certified's own first-rung verdict; anything
+    else is left to cmp_certified, built lazily from descriptors.
+    """
+    if ia[1] < ib[0]:
+        return Verdict.LESS, policy.start_bits
+    if ib[1] < ia[0]:
+        return Verdict.GREATER, policy.start_bits
+    cmp = cmp_certified(*descriptors(), policy)
+    return cmp.verdict, cmp.bits_used
+
+
+def _exact_verdict(an: int, ad: int, bn: int, bd: int) -> Verdict:
+    # an/ad against bn/bd for positive denominators, as cmp_certified
+    # compares two exact rationals
+    left, right = an * bd, bn * ad
+    if left == right:
+        return Verdict.EQUAL
+    return Verdict.LESS if left < right else Verdict.GREATER
+
+
 def verify_bounds(
     kinds: Sequence[BoundKind],
     lo: int,
@@ -179,14 +244,19 @@ def verify_bounds(
     _check_ell(lo)
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
+    w = _working_scale(policy.start_bits)
     entries: dict[BoundKind, list[SweepEntry]] = {kind: [] for kind in kinds}
     for ell in range(lo, hi + 1):
-        value = log_e_phi(ell)
+        value = _log_e_phi_fixed(ell, w)
         for kind, out in entries.items():
             if ell >= kind.min_ell:
-                cmp = cmp_certified(value, _log_bound_factor(kind, ell), policy)
-                ok = cmp.verdict is Verdict.LESS
-                out.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
+                verdict, bits = _decide(
+                    value,
+                    _log_target_fixed(kind, ell, w),
+                    policy,
+                    lambda: (log_e_phi(ell), _log_bound_factor(kind, ell)),
+                )
+                out.append(SweepEntry(ell, verdict, bits, verdict is Verdict.LESS))
     return {
         kind: SweepReport(
             label=f"phi <= {kind.value} on [{max(lo, kind.min_ell)}, {hi}]",
@@ -212,27 +282,44 @@ def verify_bound_ordering(
 
     Requires lo >= 2.  The links compare e-scaled factors (e > 0, so the
     order is unchanged); all but the sharp link are then exact rational
-    comparisons, and the recip/linear link holds with equality at ell = 2.
-    The chain genuinely breaks at ell = 1, where sharp exceeds polya-szego;
-    see ordering_exception_at_one.
+    comparisons, done as integer cross-products with bits_used 0, and the
+    recip/linear link holds with equality at ell = 2.  The chain genuinely
+    breaks at ell = 1, where sharp exceeds polya-szego; see
+    ordering_exception_at_one.
     """
     if lo < 2:
         raise ValueError("ordering sweep needs lo >= 2; ell = 1 is the exception")
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
-
-    entries: dict[str, list[SweepEntry]] = {
-        f"{s.value} <= {l.value}": [] for s, l in _ORDER_CHAIN
-    }
+    w = _working_scale(policy.start_bits)
+    sharp_ps: list[SweepEntry] = []
+    ps_recip: list[SweepEntry] = []
+    recip_linear: list[SweepEntry] = []
     for ell in range(lo, hi + 1):
-        factors = {kind: bound_factor(kind, ell) for kind in BoundKind}
-        for (small, large), out in zip(_ORDER_CHAIN, entries.values()):
-            cmp = cmp_certified(factors[small], factors[large], policy)
-            ok = cmp.verdict in (Verdict.LESS, Verdict.EQUAL)
-            out.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
+        eta = sharp_exponent(ell)
+        verdict, bits = _decide(
+            _exp_fixed(eta.numerator, eta.denominator, w),
+            _rational_fixed(Fraction(2 * ell + 1, 2 * ell), w),
+            policy,
+            lambda: (
+                bound_factor(BoundKind.SHARP, ell),
+                bound_factor(BoundKind.POLYA_SZEGO, ell),
+            ),
+        )
+        sharp_ps.append(SweepEntry(ell, verdict, bits, verdict is Verdict.LESS))
+        # the factors (2 ell + 1)/(2 ell), ell/(ell - 1) and (ell + 2)/ell
+        for out, link in (
+            (ps_recip, _exact_verdict(2 * ell + 1, 2 * ell, ell, ell - 1)),
+            (recip_linear, _exact_verdict(ell, ell - 1, ell + 2, ell)),
+        ):
+            ok = link in (Verdict.LESS, Verdict.EQUAL)
+            out.append(SweepEntry(ell, link, 0, ok))
     return {
-        key: SweepReport(label=f"{key} on [{lo}, {hi}]", entries=tuple(out))
-        for key, out in entries.items()
+        f"{small.value} <= {large.value}": SweepReport(
+            label=f"{small.value} <= {large.value} on [{lo}, {hi}]",
+            entries=tuple(out),
+        )
+        for (small, large), out in zip(_ORDER_CHAIN, (sharp_ps, ps_recip, recip_linear))
     }
 
 
@@ -403,9 +490,14 @@ def phi_floor_sweep(
     _check_ell(lo)
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
+    w = _working_scale(policy.start_bits)
     entries = []
     for ell in range(lo, hi + 1):
-        cmp = cmp_certified(log_e_phi(ell), const(0), policy)
-        ok = cmp.verdict is Verdict.GREATER
-        entries.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
+        verdict, bits = _decide(
+            _log_e_phi_fixed(ell, w),
+            (0, 0),
+            policy,
+            lambda: (log_e_phi(ell), const(0)),
+        )
+        entries.append(SweepEntry(ell, verdict, bits, verdict is Verdict.GREATER))
     return SweepReport(label=f"phi > 1/e on [{lo}, {hi}]", entries=tuple(entries))

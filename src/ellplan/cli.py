@@ -17,6 +17,7 @@ is gone and, like any unknown argument, exits 3.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from fractions import Fraction
@@ -106,6 +107,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def exit(self, status=0, message=None):
+        # --help has written to stdout: flush it while a reader that has
+        # gone can still end in exit 3 rather than at the exit-time flush
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            _stdout_to_devnull()
+            status, message = EXIT_USAGE, f"error: {exc}\n"
+        super().exit(status, message)
 
 
 def _build_parser() -> _Parser:
@@ -572,6 +583,25 @@ _COMMANDS = {
 }
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at the null device.
+
+    Called once stdout's reader has gone.  Python flushes sys.stdout again
+    at exit; without this, whatever is still buffered fails a second time,
+    Python prints "Exception ignored" and the process exits 120.  A stdout
+    without a descriptor is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     # exact rationals at depth 10^4+ have six-figure digit counts
     if hasattr(sys, "set_int_max_str_digits"):
@@ -581,7 +611,15 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        return _COMMANDS[args.command](args, config, out)
+        code = _COMMANDS[args.command](args, config, out)
+        # a reader that has gone shows up here, not at the exit-time flush
+        out.flush()
+        return code
+    except BrokenPipeError as exc:
+        if out is sys.stdout:
+            _stdout_to_devnull()
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except PrecisionExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -8,7 +8,9 @@ from mpmath import mp
 
 from ellplan.certified import (
     E,
+    RefinementPolicy,
     Verdict,
+    _working_scale,
     cmp_certified,
     const,
     enclose_log1p,
@@ -16,6 +18,10 @@ from ellplan.certified import (
 )
 from ellplan.bounds import (
     BoundKind,
+    SweepEntry,
+    SweepReport,
+    _log_bound_factor,
+    _log_e_phi_fixed,
     bound_factor,
     bound_value,
     check_expansion_agreement,
@@ -27,6 +33,7 @@ from ellplan.bounds import (
     phi_floor_sweep,
     phi_step_down_certificate,
     phi_strictly_decreasing,
+    log_e_phi,
     rho,
     sharp_exponent,
     verify_bound_ordering,
@@ -34,6 +41,88 @@ from ellplan.bounds import (
 )
 
 from conftest import mpf_to_fraction
+
+
+# ---------------------------------------------------------------------------
+# the sweeps as one cmp_certified call per check: the reference that the
+# sweeps' first-rung shortcut must reproduce entry for entry
+
+
+def reference_verify_bounds(kinds, lo, hi, policy):
+    entries = {kind: [] for kind in kinds}
+    for ell in range(lo, hi + 1):
+        value = log_e_phi(ell)
+        for kind, out in entries.items():
+            if ell >= kind.min_ell:
+                cmp = cmp_certified(value, _log_bound_factor(kind, ell), policy)
+                ok = cmp.verdict is Verdict.LESS
+                out.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
+    return {
+        kind: SweepReport(
+            label=f"phi <= {kind.value} on [{max(lo, kind.min_ell)}, {hi}]",
+            entries=tuple(out),
+        )
+        for kind, out in entries.items()
+    }
+
+
+_ORDER_CHAIN = (
+    (BoundKind.SHARP, BoundKind.POLYA_SZEGO),
+    (BoundKind.POLYA_SZEGO, BoundKind.LOOSE_RECIP),
+    (BoundKind.LOOSE_RECIP, BoundKind.LOOSE_LINEAR),
+)
+
+
+def reference_verify_bound_ordering(lo, hi, policy):
+    entries = {f"{s.value} <= {l.value}": [] for s, l in _ORDER_CHAIN}
+    for ell in range(lo, hi + 1):
+        factors = {kind: bound_factor(kind, ell) for kind in BoundKind}
+        for (small, large), out in zip(_ORDER_CHAIN, entries.values()):
+            cmp = cmp_certified(factors[small], factors[large], policy)
+            ok = cmp.verdict in (Verdict.LESS, Verdict.EQUAL)
+            out.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
+    return {
+        key: SweepReport(label=f"{key} on [{lo}, {hi}]", entries=tuple(out))
+        for key, out in entries.items()
+    }
+
+
+def reference_phi_floor_sweep(lo, hi, policy):
+    entries = []
+    for ell in range(lo, hi + 1):
+        cmp = cmp_certified(log_e_phi(ell), const(0), policy)
+        ok = cmp.verdict is Verdict.GREATER
+        entries.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
+    return SweepReport(label=f"phi > 1/e on [{lo}, {hi}]", entries=tuple(entries))
+
+
+START_BITS = (8, 16, 32, 64)
+
+
+class TestSweepsMatchReference:
+    """At 8 and 16 bits some checks overlap at the first rung and go on up
+    the ladder; at 32 and 64 bits every check separates there."""
+
+    @pytest.mark.parametrize("start_bits", START_BITS)
+    @pytest.mark.parametrize("lo,hi", [(1, 2000), (9969, 10000)])
+    def test_reports_equal(self, start_bits, lo, hi):
+        policy = RefinementPolicy(start_bits)
+        kinds = list(BoundKind)
+        assert verify_bounds(kinds, lo, hi, policy) == reference_verify_bounds(
+            kinds, lo, hi, policy
+        )
+        assert verify_bound_ordering(max(lo, 2), hi, policy) == (
+            reference_verify_bound_ordering(max(lo, 2), hi, policy)
+        )
+        assert phi_floor_sweep(lo, hi, policy) == reference_phi_floor_sweep(
+            lo, hi, policy
+        )
+
+    @pytest.mark.parametrize("start_bits", START_BITS)
+    def test_direct_value_interval(self, start_bits):
+        w = _working_scale(start_bits)
+        for ell in range(1, 3001):
+            assert _log_e_phi_fixed(ell, w) == log_e_phi(ell)._fixed(w), ell
 
 
 class TestPhi:
@@ -98,6 +187,10 @@ class TestBoundValues:
     def test_sharp_exponent(self):
         assert sharp_exponent(1) == Fraction(5, 12)
         assert sharp_exponent(2) == Fraction(19, 96)
+        for ell in range(1, 300):
+            assert sharp_exponent(ell) == (
+                Fraction(1, 2 * ell) - Fraction(1, 3 * ell**2) + Fraction(1, 4 * ell**3)
+            )
 
 
 class TestVerifyBound:

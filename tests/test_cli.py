@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from io import StringIO
@@ -382,3 +385,69 @@ class TestUsageErrors:
 
     def test_bad_precision_window(self):
         assert run("plan", "--eps", "1e-2", "--precision-start", "4")[0] == EXIT_USAGE
+
+
+class _GoneReader:
+    """A stdout that buffers writes and fails at flush, as a block-buffered
+    pipe does once its reader has gone; fileno() is a descriptor of ours."""
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.text = ""
+
+    def write(self, text):
+        self.text += text
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedPipe:
+    def test_flush_failure_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        with open(tmp_path / "stdout", "w") as fh:
+            stand_in = _GoneReader(fh.fileno())
+            monkeypatch.setattr(sys, "stdout", stand_in)
+            code = main(["verify", "--suite", "ordering", "--lmax", "5"])
+            monkeypatch.undo()
+            # the descriptor now leads to the null device, so the flush at
+            # exit has nowhere left to fail
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert code == EXIT_USAGE
+        assert stand_in.text.startswith("pass  ")
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    def test_help_flush_failure_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", _GoneReader(fh.fileno()))
+            with pytest.raises(SystemExit) as err:
+                main(["--help"])
+            monkeypatch.undo()
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    def test_other_output_stream_leaves_stdout_alone(self, capsys):
+        stand_in = _GoneReader(-1)  # not stdout: its descriptor is never used
+        assert main(["verify", "--suite", "ordering", "--lmax", "5"], stand_in) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    def test_process_exits_three(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "ellplan.cli", "table"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == "error: [Errno 32] Broken pipe\n"

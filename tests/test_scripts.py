@@ -5,6 +5,7 @@ name that was removed or renamed; runpy avoids an interpreter start-up.
 """
 
 import contextlib
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -21,6 +22,23 @@ class _ClosedPipe:
 
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
+
+
+class _GoneAtFlush:
+    """A block-buffered stdout whose reader has gone: writes are kept and
+    only the flush fails; fileno() is a descriptor of the test's own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
 
 
 def _run(monkeypatch, *args) -> int:
@@ -42,5 +60,14 @@ def test_script_runs(args, header, monkeypatch, capsys):
 def test_closed_pipe_is_usage_error(monkeypatch, capsys):
     with contextlib.redirect_stdout(_ClosedPipe()):
         code = _run(monkeypatch, "--count", "20")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_failed_final_flush_is_usage_error(monkeypatch, capsys, tmp_path):
+    with open(tmp_path / "stdout", "w") as fh:
+        with contextlib.redirect_stdout(_GoneAtFlush(fh.fileno())):
+            code = _run(monkeypatch, "--count", "20")
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

@@ -29,7 +29,7 @@ from ellplan.testbed import (
     parse_instance,
     ratio_report,
 )
-from ellplan.testbed import _scaled
+from ellplan.testbed import _scaled, _scan_table
 
 from conftest import mpf_to_fraction
 
@@ -253,6 +253,82 @@ class TestChecker:
         f = lambda ss: len(ss) ** 2
         assert s <= t and x not in t
         assert f(s | {x}) - f(s) < f(t | {x}) - f(t)
+
+
+def reference_scan(n, values):
+    """The full quantifier forms over every S subset of T, in O(3^n n).
+
+    Returns (monotone witness, submodular witness) as bitmasks:
+    (S, T) with f(S) > f(T), and (S, T, x) with the marginal of x at S
+    below its marginal at T.
+    """
+    mono = sub = None
+    full = (1 << n) - 1
+    for t in range(1 << n):
+        s = t
+        while True:
+            s = (s - 1) & t
+            if s == t:  # wrapped past 0
+                break
+            if mono is None and values[s] > values[t]:
+                mono = (s, t)
+            if sub is None:
+                rest = full & ~t
+                for x in range(n):
+                    bx = 1 << x
+                    if rest & bx and values[s | bx] - values[s] < values[t | bx] - values[t]:
+                        sub = (s, t, x)
+                        break
+            if s == 0:
+                break
+    return mono, sub
+
+
+def random_set_function(rng, n):
+    """A table over the 2^n masks: either noise, or a coverage function
+    (monotone submodular) with at most one entry nudged by +-1 or +-2."""
+    if rng.random() < 0.2:
+        return [rng.randint(-3, 3) for _ in range(1 << n)]
+    weights = [rng.randint(0, 3) for _ in range(4)]
+    covers = [rng.randrange(16) for _ in range(n)]
+    values = []
+    for mask in range(1 << n):
+        union = 0
+        for i in range(n):
+            if mask >> i & 1:
+                union |= covers[i]
+        values.append(sum(w for j, w in enumerate(weights) if union >> j & 1))
+    if rng.random() < 0.7:
+        values[rng.randrange(1 << n)] += rng.choice((-2, -1, 1, 2))
+    return values
+
+
+class TestLocalScan:
+    def test_agrees_with_full_form(self):
+        import random
+
+        rng = random.Random(44)
+        seen = {"mono": 0, "sub": 0, "ok": 0}
+        for _ in range(3000):
+            n = rng.randint(0, 5)
+            values = random_set_function(rng, n)
+            check = _scan_table(n, values, lambda mask: mask)
+            mono, sub = reference_scan(n, values)
+            assert (check.monotone_witness is None) == (mono is None), values
+            assert (check.submodular_witness is None) == (sub is None), values
+            if check.monotone_witness is not None:
+                s, t = check.monotone_witness
+                assert s & t == s != t and values[s] > values[t]
+                seen["mono"] += 1
+            if check.submodular_witness is not None:
+                s, t, x = check.submodular_witness
+                bx = 1 << x
+                assert s & t == s != t and not t & bx
+                assert values[s | bx] - values[s] < values[t | bx] - values[t]
+                seen["sub"] += 1
+            seen["ok"] += check.ok
+        # the generator reaches every outcome often
+        assert min(seen.values()) >= 300, seen
 
 
 class TestBruteForce:
