@@ -20,6 +20,7 @@ from ellplan.bounds import (
     BoundKind,
     SweepEntry,
     SweepReport,
+    _ORDER_CHAIN,
     _log_bound_factor,
     _log_e_phi_fixed,
     bound_factor,
@@ -64,13 +65,6 @@ def reference_verify_bounds(kinds, lo, hi, policy):
         )
         for kind, out in entries.items()
     }
-
-
-_ORDER_CHAIN = (
-    (BoundKind.SHARP, BoundKind.POLYA_SZEGO),
-    (BoundKind.POLYA_SZEGO, BoundKind.LOOSE_RECIP),
-    (BoundKind.LOOSE_RECIP, BoundKind.LOOSE_LINEAR),
-)
 
 
 def reference_verify_bound_ordering(lo, hi, policy):

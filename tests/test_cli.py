@@ -430,8 +430,8 @@ class TestClosedPipe:
         assert err.value.code == EXIT_USAGE
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
-    def test_other_output_stream_leaves_stdout_alone(self, capsys):
-        stand_in = _GoneReader(-1)  # not stdout: its descriptor is never used
+    def test_flush_failure_of_given_stream_is_usage_error(self, capsys):
+        stand_in = _GoneReader(-1)  # not sys.stdout, so never redirected
         assert main(["verify", "--suite", "ordering", "--lmax", "5"], stand_in) == EXIT_USAGE
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
