@@ -292,9 +292,10 @@ def verify_bound_ordering(
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
     w = _working_scale(policy.start_bits)
-    sharp_ps: list[SweepEntry] = []
-    ps_recip: list[SweepEntry] = []
-    recip_linear: list[SweepEntry] = []
+    entries: dict[str, list[SweepEntry]] = {
+        f"{s.value} <= {l.value}": [] for s, l in _ORDER_CHAIN
+    }
+    sharp_ps, ps_recip, recip_linear = entries.values()
     for ell in range(lo, hi + 1):
         eta = sharp_exponent(ell)
         verdict, bits = _decide(
@@ -315,11 +316,8 @@ def verify_bound_ordering(
             ok = link in (Verdict.LESS, Verdict.EQUAL)
             out.append(SweepEntry(ell, link, 0, ok))
     return {
-        f"{small.value} <= {large.value}": SweepReport(
-            label=f"{small.value} <= {large.value} on [{lo}, {hi}]",
-            entries=tuple(out),
-        )
-        for (small, large), out in zip(_ORDER_CHAIN, (sharp_ps, ps_recip, recip_linear))
+        key: SweepReport(label=f"{key} on [{lo}, {hi}]", entries=tuple(out))
+        for key, out in entries.items()
     }
 
 
