@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from ellplan._value import Frozen
 from ellplan.certified import DEFAULT_POLICY, RationalLike, RefinementPolicy
-from ellplan.planner import EpsSpec, ell_bf, ell_ps, ell_star
+from ellplan.planner import EpsSpec, _ell_star_search, ell_bf
 
 
 def decimal_digit_count(n: int) -> int:
@@ -172,8 +172,10 @@ def format_eps(eps: Union[EpsSpec, Fraction]) -> str:
 
 def _row_for(eps: EpsSpec, policy: RefinementPolicy) -> TableRow:
     # the three depths only: a full plan() would also build the exact
-    # rho(ell_star) and the sharp certificate, and a row uses neither
-    bf, ps, star = ell_bf(eps), ell_ps(eps, policy), ell_star(eps, policy)
+    # rho(ell_star) and the sharp certificate, and a row uses neither; the
+    # walk to ell_star starts from ell_ps, so one search gives both
+    bf = ell_bf(eps)
+    ps, star, _ = _ell_star_search(eps.eps, policy)
     return TableRow(
         eps=eps,
         ell_bf=bf,

@@ -199,47 +199,73 @@ def f_eval(
 # fast exact internals: weights scaled to integers, subsets as bitmasks
 
 
-class _Scaled(Frozen):
+class _Masks(Frozen):
+    """An instance as bitmasks over elements and items, weights as integers.
+
+    chunk_sums holds, per run of 8 universe items, the scaled weight of each
+    mask over that run, so the tables grow linearly with the universe.
+    blocks holds each element's (block mask, capacity); a uniform matroid of
+    rank r is one block of all elements with capacity r.
+    """
+
     item_masks: tuple[int, ...]  # per ground element, mask over universe items
-    cover_weight: tuple[int, ...]  # per universe-item mask, total scaled weight
+    chunk_sums: tuple[tuple[int, ...], ...]
     denominator: int
+    blocks: tuple[tuple[int, int], ...]
 
-    def value(self, element_mask: int) -> int:
+    @classmethod
+    def of(cls, instance: CoverageInstance) -> _Masks:
+        weights = [w for _, w in instance.universe]
+        denom = lcm(*(w.denominator for w in weights)) if weights else 1
+        scaled = [int(w * denom) for w in weights]
+        chunk_sums = []
+        for start in range(0, len(scaled), 8):
+            sums = [0]
+            for w in scaled[start : start + 8]:
+                sums += [s + w for s in sums]
+            chunk_sums.append(tuple(sums))
+        item_bit = {name: 1 << i for i, (name, _) in enumerate(instance.universe)}
+        item_masks = tuple(
+            sum(item_bit[item] for item in members) for _, members in instance.ground
+        )
+
+        m, names = instance.matroid, instance.element_names
+        parts = (
+            [(names, m.rank)]
+            if isinstance(m, UniformMatroid)
+            else [(b.members, b.capacity) for b in m.blocks]
+        )
+        bit = {name: 1 << i for i, name in enumerate(names)}
+        block_of = {}
+        for members, cap in parts:
+            block_of.update(dict.fromkeys(members, (sum(map(bit.get, members)), cap)))
+        blocks = tuple(block_of[name] for name in names)
+        return cls(item_masks, tuple(chunk_sums), denom, blocks)
+
+    def value(self, mask: int) -> int:
         cover = 0
-        m = element_mask
-        while m:
-            low = (m & -m).bit_length() - 1
-            cover |= self.item_masks[low]
-            m &= m - 1
-        return self.cover_weight[cover]
+        while mask:
+            cover |= self.item_masks[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
+        total = 0
+        for sums in self.chunk_sums:
+            total += sums[cover & 0xFF]
+            cover >>= 8
+        return total
 
+    def can_add(self, mask: int, i: int) -> bool:
+        """Whether the independent mask stays independent with element i."""
+        block, cap = self.blocks[i]
+        return (mask & block).bit_count() < cap
 
-def _scaled(instance: CoverageInstance) -> _Scaled:
-    weights = [w for _, w in instance.universe]
-    denom = lcm(*(w.denominator for w in weights)) if weights else 1
-    scaled = [int(w * denom) for w in weights]
-    item_index = {name: i for i, (name, _) in enumerate(instance.universe)}
-    item_masks = tuple(
-        sum(1 << item_index[item] for item in members)
-        for _, members in instance.ground
-    )
-    u = len(weights)
-    cover_weight = [0] * (1 << u)
-    for mask in range(1, 1 << u):
-        low = (mask & -mask).bit_length() - 1
-        cover_weight[mask] = cover_weight[mask & (mask - 1)] + scaled[low]
-    return _Scaled(item_masks, tuple(cover_weight), denom)
-
-
-def _block_masks(instance: CoverageInstance) -> Optional[list[tuple[int, int]]]:
-    """(element mask, capacity) per block, or None for a uniform matroid."""
-    if isinstance(instance.matroid, UniformMatroid):
-        return None
-    index = {name: i for i, name in enumerate(instance.element_names)}
-    return [
-        (sum(1 << index[name] for name in block.members), block.capacity)
-        for block in instance.matroid.blocks
-    ]
+    def independent(self, mask: int) -> bool:
+        rest = mask
+        while rest:
+            block, cap = self.blocks[(rest & -rest).bit_length() - 1]
+            if (mask & block).bit_count() > cap:
+                return False
+            rest &= ~block  # each block once
+        return True
 
 
 def _names_of(instance: CoverageInstance, mask: int) -> frozenset[str]:
@@ -342,12 +368,12 @@ def check_monotone_submodular(
     n = instance.n
     if n > CHECK_LIMIT:
         raise ValueError(f"exhaustive check limited to n <= {CHECK_LIMIT}, got {n}")
-    scaled = _scaled(instance)
+    masks = _Masks.of(instance)
     values = []
     for mask in range(1 << n):
         if counter is not None:
             counter.tick()
-        values.append(scaled.value(mask))
+        values.append(masks.value(mask))
 
     check = _scan_table(n, values, lambda mask: _names_of(instance, mask))
     if check.submodular_witness is not None:
@@ -380,40 +406,28 @@ def brute_force_opt(
     """
     _require_brute_size(instance)
     n = instance.n
-    scaled = _scaled(instance)
-    blocks = _block_masks(instance)
-    rank_cap = instance.matroid.rank if blocks is None else n
-    # every element sits in exactly one block, validated at construction
-    elem_block = (
-        None
-        if blocks is None
-        else [next((bm, cap) for bm, cap in blocks if bm >> i & 1) for i in range(n)]
-    )
+    masks = _Masks.of(instance)
 
     best_mask = 0
-    best_value = scaled.value(0)
+    best_value = masks.value(0)
     if counter is not None:
         counter.tick()
 
-    def extend(mask: int, size: int, start: int) -> None:
+    def extend(mask: int, start: int) -> None:
         nonlocal best_mask, best_value
-        if blocks is None and size >= rank_cap:
-            return
         for i in range(start, n):
-            if elem_block is not None:
-                bm, cap = elem_block[i]
-                if (mask & bm).bit_count() >= cap:
-                    continue
+            if not masks.can_add(mask, i):
+                continue
             new_mask = mask | (1 << i)
             if counter is not None:
                 counter.tick()
-            new_value = scaled.value(new_mask)
+            new_value = masks.value(new_mask)
             if new_value > best_value:
                 best_value, best_mask = new_value, new_mask
-            extend(new_mask, size + 1, i + 1)
+            extend(new_mask, i + 1)
 
-    extend(0, 0, 0)
-    return _names_of(instance, best_mask), Fraction(best_value, scaled.denominator)
+    extend(0, 0)
+    return _names_of(instance, best_mask), Fraction(best_value, masks.denominator)
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:
@@ -430,29 +444,21 @@ def brute_force_opt_by_mask(
     explicitly.
     """
     _require_brute_size(instance)
-    n = instance.n
-    scaled = _scaled(instance)
-    blocks = _block_masks(instance)
-    rank = instance.matroid.rank if blocks is None else None
-
-    def independent(mask: int) -> bool:
-        if blocks is None:
-            return mask.bit_count() <= rank
-        return all((mask & bm).bit_count() <= cap for bm, cap in blocks)
+    masks = _Masks.of(instance)
 
     # the empty set comes first and always beats this sentinel
     best_mask, best_value = 0, -1
-    for mask in range(1 << n):
-        if not independent(mask):
+    for mask in range(1 << instance.n):
+        if not masks.independent(mask):
             continue
         if counter is not None:
             counter.tick()
-        value = scaled.value(mask)
+        value = masks.value(mask)
         if value > best_value or (
             value == best_value and _mask_indices(mask) < _mask_indices(best_mask)
         ):
             best_value, best_mask = value, mask
-    return _names_of(instance, best_mask), Fraction(best_value, scaled.denominator)
+    return _names_of(instance, best_mask), Fraction(best_value, masks.denominator)
 
 
 def greedy(
@@ -464,41 +470,27 @@ def greedy(
     evaluates each feasible candidate once, so the call count stays within
     n * rank.
     """
-    n = instance.n
-    scaled = _scaled(instance)
-    blocks = _block_masks(instance)
-    rank = instance.matroid.rank if blocks is None else None
+    masks = _Masks.of(instance)
 
     mask = 0
-    size = 0
     value = 0
     while True:
         best_gain = 0
         best_index = None
-        for i in range(n):
+        for i in range(instance.n):
             bit = 1 << i
-            if mask & bit:
+            if mask & bit or not masks.can_add(mask, i):
                 continue
-            if blocks is None:
-                if size >= rank:
-                    continue
-            else:
-                ok = all(
-                    ((mask | bit) & bm).bit_count() <= cap for bm, cap in blocks
-                )
-                if not ok:
-                    continue
             if counter is not None:
                 counter.tick()
-            gain = scaled.value(mask | bit) - value
+            gain = masks.value(mask | bit) - value
             if gain > best_gain:
                 best_gain, best_index = gain, i
         if best_index is None:
             break
         mask |= 1 << best_index
-        size += 1
         value += best_gain
-    return _names_of(instance, mask), Fraction(value, scaled.denominator)
+    return _names_of(instance, mask), Fraction(value, masks.denominator)
 
 
 # ---------------------------------------------------------------------------

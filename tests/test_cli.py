@@ -321,6 +321,28 @@ class TestTestbedCommand:
         assert code == EXIT_OK
         assert "opt      = 3/2" in text
 
+    def test_wide_universe_answers_in_bounded_time(self, tmp_path):
+        # the weight tables must grow with the universe, not with 2^64
+        path = tmp_path / "wide.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "universe": {f"i{j}": j + 1 for j in range(64)},
+                    "ground": {
+                        "a": [f"i{j}" for j in range(0, 64, 2)],
+                        "b": [f"i{j}" for j in range(40, 64)],
+                    },
+                    "matroid": {"type": "uniform", "rank": 1},
+                }
+            )
+        )
+        start = time.perf_counter()
+        code, text = run("testbed", "--instance", str(path))
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK, text
+        assert elapsed < 1.0, f"testbed took {elapsed:.2f}s"
+        assert "opt      = 1260 via {b}" in text
+
     def test_malformed_instance_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(

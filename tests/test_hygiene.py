@@ -1,7 +1,8 @@
-"""Source hygiene that a linter would check: unused imports and the exports.
+"""Source hygiene that a linter would check: unused imports, unused private
+module-level names and the exports.
 
-Both checks read the source with ``ast``; neither imports the scanned files
-nor starts a process.
+The checks read the source with ``ast``; none imports the scanned files nor
+starts a process.
 """
 
 import ast
@@ -67,6 +68,52 @@ def test_no_unused_imports():
             if name not in used:
                 unused.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_x`` def, class or assignment target, mapped to its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [
+                n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            ]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names read, reached as an attribute or imported anywhere in the file."""
+    refs = set(_imported_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def test_no_unused_private_module_names():
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path)) for path in _scanned_files()
+    }
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name, line in _private_definitions(tree).items()
+        if name not in referenced
+    ]
+    assert not unused, "unreferenced private names:\n" + "\n".join(unused)
 
 
 def test_all_matches_the_package_imports():

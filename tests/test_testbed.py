@@ -29,7 +29,7 @@ from ellplan.testbed import (
     parse_instance,
     ratio_report,
 )
-from ellplan.testbed import _scaled, _scan_table
+from ellplan.testbed import _Masks, _scan_table
 
 from conftest import mpf_to_fraction
 
@@ -194,19 +194,22 @@ class TestFEval:
         with pytest.raises(ValueError, match="not ground"):
             f_eval(three_cover, {"nope"})
 
-    @given(st.integers(0, 2**6 - 1), st.integers(0, 10**6))
-    def test_scaled_table_matches_oracle(self, mask, seed):
+    @given(st.integers(0, 2**6 - 1), st.integers(0, 10**6), st.integers(1, 20))
+    def test_scaled_table_matches_oracle(self, mask, seed, max_items):
+        # past 8 items a value sums tables across chunk boundaries
         import random
 
-        instance = generate_random_instance(random.Random(seed), max_n=6)
+        instance = generate_random_instance(
+            random.Random(seed), max_n=6, max_items=max_items
+        )
         mask &= (1 << instance.n) - 1
         names = {
             instance.element_names[i]
             for i in range(instance.n)
             if mask >> i & 1
         }
-        scaled = _scaled(instance)
-        assert Fraction(scaled.value(mask), scaled.denominator) == f_eval(
+        masks = _Masks.of(instance)
+        assert Fraction(masks.value(mask), masks.denominator) == f_eval(
             instance, names
         )
 

@@ -41,7 +41,7 @@ from ellplan.records import InstanceCheck
 from ellplan.testbed import (
     OracleCounter,
     PartitionMatroid,
-    _scaled,
+    _Masks,
     bundled_instance,
     check_monotone_submodular,
     ratio_report,
@@ -80,7 +80,7 @@ def _examples() -> list:
         greedy_gap.matroid.blocks[0],
         greedy_gap.matroid,
         greedy_gap,
-        _scaled(greedy_gap),
+        _Masks.of(greedy_gap),
         check,
         ratio_report(greedy_gap, "1e-1", seed=11),
         InstanceCheck.from_check("greedy_gap", check),
