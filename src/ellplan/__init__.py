@@ -4,92 +4,85 @@ The package answers one question exactly: how deep must the depth parameter
 ell be so that the ratio target 1 - (1+1/ell)^(-ell) clears 1 - 1/e - eps?
 Everything it claims is backed by exact rational arithmetic or by interval
 enclosures with explicit series tail bounds.
+
+Importing the package runs no submodule.  Each submodule below is put in
+``sys.modules`` (and bound here) as a lazy module: its code compiles and runs
+at the first attribute access, so a command pays only for the modules it
+uses.  ``import ellplan.bounds`` or ``from ellplan.bounds import phi`` loads
+it at once, as an eager import would.  The exported names resolve through
+``__getattr__`` on first use.
 """
 
-from ellplan.bounds import (
-    BoundKind,
-    phi,
-    rho,
-    verify_bound_ordering,
-    verify_bounds,
-)
-from ellplan.certified import (
-    Comparison,
-    Enclosure,
-    PrecisionExhausted,
-    RefinementPolicy,
-    Verdict,
-    cmp_certified,
-    enclose_e,
-    enclose_exp,
-    enclose_log1p,
-)
-from ellplan.costs import (
-    BigMagnitude,
-    TableRow,
-    check_against_expected,
-    reproduce_table,
-    savings_factor,
-)
-from ellplan.planner import (
-    EllPlan,
-    EpsSpec,
-    asymptotic_residual,
-    certificate_sharp,
-    ell_bf,
-    ell_ps,
-    ell_star,
-    plan,
-)
-from ellplan.testbed import (
-    CoverageInstance,
-    OracleCounter,
-    brute_force_opt,
-    bundled_instance,
-    check_monotone_submodular,
-    f_eval,
-    generate_random_instance,
-    greedy,
-    load_instance,
-    ratio_report,
-)
+import importlib.util
+import sys
 
-__all__ = [
-    "BigMagnitude",
-    "BoundKind",
-    "Comparison",
-    "CoverageInstance",
-    "EllPlan",
-    "Enclosure",
-    "EpsSpec",
-    "OracleCounter",
-    "PrecisionExhausted",
-    "RefinementPolicy",
-    "TableRow",
-    "Verdict",
-    "asymptotic_residual",
-    "brute_force_opt",
-    "bundled_instance",
-    "certificate_sharp",
-    "check_against_expected",
-    "check_monotone_submodular",
-    "cmp_certified",
-    "ell_bf",
-    "ell_ps",
-    "ell_star",
-    "enclose_e",
-    "enclose_exp",
-    "enclose_log1p",
-    "f_eval",
-    "generate_random_instance",
-    "greedy",
-    "load_instance",
-    "phi",
-    "plan",
-    "ratio_report",
-    "reproduce_table",
-    "rho",
-    "savings_factor",
-    "verify_bound_ordering",
-    "verify_bounds",
-]
+# defining submodule -> the names it exports as ``ellplan.<name>``
+_EXPORTS = {
+    "bounds": ("BoundKind", "phi", "rho", "verify_bound_ordering", "verify_bounds"),
+    "certified": (
+        "Comparison",
+        "Enclosure",
+        "PrecisionExhausted",
+        "RefinementPolicy",
+        "Verdict",
+        "cmp_certified",
+        "enclose_e",
+        "enclose_exp",
+        "enclose_log1p",
+    ),
+    "costs": (
+        "BigMagnitude",
+        "TableRow",
+        "check_against_expected",
+        "reproduce_table",
+        "savings_factor",
+    ),
+    "planner": (
+        "EllPlan",
+        "EpsSpec",
+        "asymptotic_residual",
+        "certificate_sharp",
+        "ell_bf",
+        "ell_ps",
+        "ell_star",
+        "plan",
+    ),
+    "testbed": (
+        "CoverageInstance",
+        "OracleCounter",
+        "brute_force_opt",
+        "bundled_instance",
+        "check_monotone_submodular",
+        "f_eval",
+        "generate_random_instance",
+        "greedy",
+        "load_instance",
+        "ratio_report",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def _register_lazily(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    return module
+
+
+# cli is left out: ``python -m ellplan.cli`` must find it not yet imported
+for _name in ("certified", "bounds", "planner", "records", "costs", "testbed"):
+    globals()[_name] = _register_lazily(_name)
+del _name
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[module], name)

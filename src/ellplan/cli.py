@@ -23,51 +23,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
+# modules, not names: a module runs at its first use here (see ellplan),
+# and a function replaced in its defining module is the one called
+from ellplan import bounds, certified, costs, planner, records, testbed
 from ellplan._value import Frozen
-from ellplan.bounds import (
-    BoundKind,
-    check_expansion_agreement,
-    check_log_pade,
-    check_log_tail4,
-    check_log_weak,
-    ordering_exception_at_one,
-    phi_floor_sweep,
-    verify_bound_ordering,
-    verify_bounds,
-)
-from ellplan.certified import (
-    DEFAULT_POLICY,
-    PrecisionExhausted,
-    RefinementPolicy,
-    Verdict,
-)
-from ellplan.costs import (
-    check_against_expected,
-    render_table_csv,
-    render_table_text,
-    reproduce_table,
-)
-from ellplan.planner import (
-    EpsSpec,
-    certificate_sharp,
-    depth_comparison,
-    ell_bf,
-    ell_ps,
-    ell_star,
-    plan,
-)
-from ellplan.records import InstanceCheck, render_line, render_record
-from ellplan.testbed import (
-    BUNDLED_INSTANCES,
-    CHECK_LIMIT,
-    CoverageInstance,
-    InstanceFormatError,
-    bundled_instance,
-    check_monotone_submodular,
-    generate_random_instance,
-    load_instance,
-    ratio_report,
-)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -80,8 +39,8 @@ _EXPANSION_ELLS = (100, 1000, 10000)
 class RunConfig(Frozen):
     """Settings shared by every subcommand."""
 
-    precision_start_bits: int = DEFAULT_POLICY.start_bits
-    precision_cap_bits: int = DEFAULT_POLICY.cap_bits
+    precision_start_bits: int = certified.DEFAULT_POLICY.start_bits
+    precision_cap_bits: int = certified.DEFAULT_POLICY.cap_bits
     output_format: str = "text"
     seed: Optional[int] = None
 
@@ -95,8 +54,8 @@ class RunConfig(Frozen):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
     @property
-    def policy(self) -> RefinementPolicy:
-        return RefinementPolicy(
+    def policy(self) -> certified.RefinementPolicy:
+        return certified.RefinementPolicy(
             start_bits=self.precision_start_bits, cap_bits=self.precision_cap_bits
         )
 
@@ -190,7 +149,7 @@ def _build_parser() -> _Parser:
     source = p_testbed.add_mutually_exclusive_group(required=True)
     source.add_argument("--instance", metavar="PATH", help="instance file")
     source.add_argument(
-        "--bundled", choices=BUNDLED_INSTANCES, help="shipped instance"
+        "--bundled", metavar="NAME", help="shipped instance: three_cover or greedy_gap"
     )
     source.add_argument(
         "--random", type=int, metavar="N", help="N seeded random instances"
@@ -214,7 +173,7 @@ def _require_text_or_structured(config: RunConfig) -> None:
         raise ValueError("csv output applies to `table` only")
 
 
-def _verdict_word(verdict: Verdict) -> str:
+def _verdict_word(verdict: certified.Verdict) -> str:
     return verdict.name.lower()
 
 
@@ -224,17 +183,17 @@ def _verdict_word(verdict: Verdict) -> str:
 
 def _cmd_plan(args, config: RunConfig, out) -> int:
     _require_text_or_structured(config)
-    spec = EpsSpec.parse(args.eps)
+    spec = planner.EpsSpec.parse(args.eps)
     if args.rule != "all":
         if args.rule == "bf":
-            value = ell_bf(spec)
+            value = planner.ell_bf(spec)
         elif args.rule == "ps":
-            value = ell_ps(spec, config.policy)
+            value = planner.ell_ps(spec, config.policy)
         else:
-            value = ell_star(spec, config.policy)
+            value = planner.ell_star(spec, config.policy)
         if config.output_format == "structured":
             print(
-                render_line(
+                records.render_line(
                     "depth", {"eps": str(spec), "rule": args.rule, "ell": value}
                 ),
                 file=out,
@@ -243,9 +202,9 @@ def _cmd_plan(args, config: RunConfig, out) -> int:
             print(value, file=out)
         return EXIT_OK
 
-    result = plan(spec, config.policy)
+    result = planner.plan(spec, config.policy)
     if config.output_format == "structured":
-        print(render_record(result), file=out)
+        print(records.render_record(result), file=out)
         return EXIT_OK
     print(f"eps        = {spec}", file=out)
     print(f"ell_bf     = {result.ell_bf}", file=out)
@@ -265,7 +224,7 @@ def _cmd_plan(args, config: RunConfig, out) -> int:
 def _sweep_lines(report, config: RunConfig, out) -> None:
     if config.output_format == "structured":
         print(
-            render_line(
+            records.render_line(
                 "sweep",
                 {
                     "label": report.label,
@@ -314,9 +273,10 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
     if args.suite == "bounds":
         if args.lmax < 1:
             raise ValueError("--lmax must be at least 1")
-        reports = verify_bounds(list(BoundKind), 1, args.lmax, config.policy)
-        ordered = [reports[kind] for kind in BoundKind]
-        ordered.append(phi_floor_sweep(1, args.lmax, config.policy))
+        kinds = list(bounds.BoundKind)
+        reports = bounds.verify_bounds(kinds, 1, args.lmax, config.policy)
+        ordered = [reports[kind] for kind in kinds]
+        ordered.append(bounds.phi_floor_sweep(1, args.lmax, config.policy))
         for report in ordered:
             _sweep_lines(report, config, out)
         return _sweep_exit(ordered)
@@ -324,16 +284,16 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
     if args.suite == "ordering":
         if args.lmax < 2:
             raise ValueError("--lmax must be at least 2 for the ordering chain")
-        reports = verify_bound_ordering(2, args.lmax, config.policy)
+        reports = bounds.verify_bound_ordering(2, args.lmax, config.policy)
         for report in reports.values():
             _sweep_lines(report, config, out)
-        exception = ordering_exception_at_one(config.policy)
+        exception = bounds.ordering_exception_at_one(config.policy)
         note = (
             "at ell = 1 the chain genuinely breaks: sharp > polya-szego "
             f"(certified {_verdict_word(exception.verdict)}, {exception.bits_used} bits)"
         )
         if config.output_format == "structured":
-            print(render_line("note", {"text": note}), file=out)
+            print(records.render_line("note", {"text": note}), file=out)
         else:
             print(f"note  {note}", file=out)
         return _sweep_exit(list(reports.values()))
@@ -343,15 +303,15 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
         failures = 0
         unresolved = 0
         for name, check in (
-            ("log_weak", check_log_weak),
-            ("log_pade", check_log_pade),
-            ("log_tail4", check_log_tail4),
+            ("log_weak", bounds.check_log_weak),
+            ("log_pade", bounds.check_log_pade),
+            ("log_tail4", bounds.check_log_tail4),
         ):
             bad = []
             unres = []
             for point in points:
                 res = check(point, config.policy)
-                if res.verdict is Verdict.UNRESOLVED:
+                if res.verdict is certified.Verdict.UNRESOLVED:
                     unres.append(point)
                 elif not res.holds:
                     bad.append(point)
@@ -359,7 +319,7 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
             unresolved += len(unres)
             if config.output_format == "structured":
                 print(
-                    render_line(
+                    records.render_line(
                         "log-check",
                         {
                             "name": name,
@@ -385,11 +345,11 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
         raise ValueError(
             f"--lmax below {_EXPANSION_ELLS[0]}; nothing to check for expansion"
         )
-    report = check_expansion_agreement(ells)
+    report = bounds.check_expansion_agreement(ells)
     if config.output_format == "structured":
         for entry in report.entries:
             print(
-                render_line(
+                records.render_line(
                     "expansion",
                     {
                         "ell": entry.ell,
@@ -414,20 +374,20 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
 def _cmd_table(args, config: RunConfig, out) -> int:
     specs = None
     if args.eps is not None:
-        specs = [EpsSpec.parse(text) for text in args.eps]
-    rows = reproduce_table(specs, config.policy)
+        specs = [planner.EpsSpec.parse(text) for text in args.eps]
+    rows = costs.reproduce_table(specs, config.policy)
 
     if config.output_format == "structured":
         for row in rows:
-            print(render_record(row), file=out)
+            print(records.render_record(row), file=out)
     elif config.output_format == "csv":
-        out.write(render_table_csv(rows))
+        out.write(costs.render_table_csv(rows))
     else:
-        out.write(render_table_text(rows))
+        out.write(costs.render_table_text(rows))
 
     if not args.check:
         return EXIT_OK
-    result = check_against_expected(rows, policy=config.policy)
+    result = costs.check_against_expected(rows, policy=config.policy)
     if result.ok:
         print(f"check: all {len(rows)} rows match the embedded values", file=out)
         return EXIT_OK
@@ -444,12 +404,12 @@ def _cmd_certify(args, config: RunConfig, out) -> int:
     _require_text_or_structured(config)
     if args.ell < 1:
         raise ValueError("--ell must be at least 1")
-    spec = EpsSpec.parse(args.eps)
-    holds = certificate_sharp(args.ell, spec, config.policy)
-    direct = depth_comparison(args.ell, spec, config.policy)
+    spec = planner.EpsSpec.parse(args.eps)
+    holds = planner.certificate_sharp(args.ell, spec, config.policy)
+    direct = planner.depth_comparison(args.ell, spec, config.policy)
     if config.output_format == "structured":
         print(
-            render_line(
+            records.render_line(
                 "certify",
                 {
                     "ell": args.ell,
@@ -467,18 +427,18 @@ def _cmd_certify(args, config: RunConfig, out) -> int:
             file=out,
         )
         meaning = {
-            Verdict.LESS: "depth suffices",
-            Verdict.GREATER: "depth is certifiably too small",
-            Verdict.UNRESOLVED: "no verdict at the precision cap",
+            certified.Verdict.LESS: "depth suffices",
+            certified.Verdict.GREATER: "depth is certifiably too small",
+            certified.Verdict.UNRESOLVED: "no verdict at the precision cap",
         }[direct.verdict]
         print(
             f"direct comparison phi({args.ell}) vs 1/e + {spec}: "
             f"{_verdict_word(direct.verdict)} ({meaning}; {direct.bits_used} bits)",
             file=out,
         )
-    if direct.verdict is Verdict.LESS:
+    if direct.verdict is certified.Verdict.LESS:
         return EXIT_OK
-    if direct.verdict is Verdict.GREATER:
+    if direct.verdict is certified.Verdict.GREATER:
         return EXIT_FAILURE
     return EXIT_INCONCLUSIVE
 
@@ -487,22 +447,30 @@ def _cmd_certify(args, config: RunConfig, out) -> int:
 # testbed
 
 
-def _named_instances(args, config: RunConfig) -> list[tuple[str, CoverageInstance]]:
+def _named_instances(
+    args, config: RunConfig
+) -> list[tuple[str, testbed.CoverageInstance]]:
     if args.instance is not None:
-        return [(args.instance, load_instance(args.instance))]
+        return [(args.instance, testbed.load_instance(args.instance))]
     if args.bundled is not None:
-        return [(args.bundled, bundled_instance(args.bundled))]
+        if args.bundled not in testbed.BUNDLED_INSTANCES:
+            raise ValueError(
+                f"no bundled instance {args.bundled!r}; choose from "
+                + ", ".join(testbed.BUNDLED_INSTANCES)
+            )
+        return [(args.bundled, testbed.bundled_instance(args.bundled))]
     if args.random < 1:
         raise ValueError("--random needs a positive count")
     rng = random.Random(config.seed if config.seed is not None else 0)
     return [
-        (f"random-{i}", generate_random_instance(rng)) for i in range(args.random)
+        (f"random-{i}", testbed.generate_random_instance(rng))
+        for i in range(args.random)
     ]
 
 
 def _cmd_testbed(args, config: RunConfig, out) -> int:
     _require_text_or_structured(config)
-    spec = EpsSpec.parse(args.eps)
+    spec = planner.EpsSpec.parse(args.eps)
     instances = _named_instances(args, config)
     structured = config.output_format == "structured"
     worst = EXIT_OK
@@ -513,10 +481,11 @@ def _cmd_testbed(args, config: RunConfig, out) -> int:
                 f"{len(instance.universe)} items",
                 file=out,
             )
-        if instance.n <= CHECK_LIMIT:
-            check = check_monotone_submodular(instance)
+        if instance.n <= testbed.CHECK_LIMIT:
+            check = testbed.check_monotone_submodular(instance)
             if structured:
-                print(render_record(InstanceCheck.from_check(label, check)), file=out)
+                record = records.InstanceCheck.from_check(label, check)
+                print(records.render_record(record), file=out)
             else:
                 print(
                     f"  monotone submodular: {'pass' if check.ok else 'FAIL'}",
@@ -538,11 +507,15 @@ def _cmd_testbed(args, config: RunConfig, out) -> int:
             if not check.ok:
                 worst = max(worst, EXIT_FAILURE)
         elif not structured:
-            print(f"  monotone submodular: skipped (n > {CHECK_LIMIT})", file=out)
+            print(
+                f"  monotone submodular: skipped (n > {testbed.CHECK_LIMIT})", file=out
+            )
 
-        report = ratio_report(instance, spec, seed=config.seed, policy=config.policy)
+        report = testbed.ratio_report(
+            instance, spec, seed=config.seed, policy=config.policy
+        )
         if structured:
-            print(render_record(report), file=out)
+            print(records.render_record(report), file=out)
         else:
             certified = "certified" if report.rho_certified else "NOT CERTIFIED"
             print(
@@ -620,13 +593,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             _stdout_to_devnull()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PrecisionExhausted as exc:
+    except certified.PrecisionExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (InstanceFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,11 +12,10 @@ import json
 from fractions import Fraction
 from typing import Callable, Optional
 
+# modules, not names: a module runs at its first use here (see ellplan),
+# and a function replaced in its defining module is the one called
+from ellplan import certified, costs, planner, testbed
 from ellplan._value import Frozen
-from ellplan.certified import Enclosure
-from ellplan.costs import BigMagnitude, TableRow
-from ellplan.planner import EllPlan, EpsSpec
-from ellplan.testbed import PropertyCheck, RatioReport
 
 SCHEMA_VERSION = 1
 
@@ -38,7 +37,7 @@ class InstanceCheck(Frozen):
     submodular_witness: Optional[tuple[tuple[str, ...], tuple[str, ...], str]]
 
     @classmethod
-    def from_check(cls, instance: str, check: PropertyCheck) -> "InstanceCheck":
+    def from_check(cls, instance: str, check: testbed.PropertyCheck) -> "InstanceCheck":
         mono = check.monotone_witness
         sub = check.submodular_witness
         return cls(
@@ -70,20 +69,20 @@ def _fraction_from(text, path: str) -> Fraction:
         raise RecordError(f"{path}: bad rational {text!r}") from exc
 
 
-def _enclosure_payload(enc: Enclosure) -> dict:
+def _enclosure_payload(enc: certified.Enclosure) -> dict:
     return {"lo": _fraction_text(enc.lo), "hi": _fraction_text(enc.hi)}
 
 
-def _enclosure_from(obj, path: str) -> Enclosure:
+def _enclosure_from(obj, path: str) -> certified.Enclosure:
     if not isinstance(obj, dict) or set(obj) != {"lo", "hi"}:
         raise RecordError(f"{path}: expected lo/hi rational pair")
-    return Enclosure(
+    return certified.Enclosure(
         _fraction_from(obj["lo"], f"{path}.lo"),
         _fraction_from(obj["hi"], f"{path}.hi"),
     )
 
 
-def _magnitude_payload(mag: BigMagnitude) -> dict:
+def _magnitude_payload(mag: costs.BigMagnitude) -> dict:
     return {
         "exact": str(mag.exact),
         "mantissa": mag.sci_mantissa,
@@ -91,17 +90,17 @@ def _magnitude_payload(mag: BigMagnitude) -> dict:
     }
 
 
-def _magnitude_from(obj, path: str) -> BigMagnitude:
+def _magnitude_from(obj, path: str) -> costs.BigMagnitude:
     if not isinstance(obj, dict) or set(obj) != {"exact", "mantissa", "exponent"}:
         raise RecordError(f"{path}: expected exact/mantissa/exponent")
     try:
         exact = int(obj["exact"])
     except (TypeError, ValueError) as exc:
         raise RecordError(f"{path}.exact: bad integer") from exc
-    return BigMagnitude(exact, obj["mantissa"], obj["exponent"])
+    return costs.BigMagnitude(exact, obj["mantissa"], obj["exponent"])
 
 
-def _plan_payload(plan: EllPlan) -> dict:
+def _plan_payload(plan: planner.EllPlan) -> dict:
     return {
         "eps": str(plan.eps),
         "ell_bf": plan.ell_bf,
@@ -113,9 +112,9 @@ def _plan_payload(plan: EllPlan) -> dict:
     }
 
 
-def _plan_from(payload: dict) -> EllPlan:
-    return EllPlan(
-        eps=EpsSpec.parse(payload["eps"]),
+def _plan_from(payload: dict) -> planner.EllPlan:
+    return planner.EllPlan(
+        eps=planner.EpsSpec.parse(payload["eps"]),
         ell_bf=payload["ell_bf"],
         ell_ps=payload["ell_ps"],
         ell_star=payload["ell_star"],
@@ -125,7 +124,7 @@ def _plan_from(payload: dict) -> EllPlan:
     )
 
 
-def _table_row_payload(row: TableRow) -> dict:
+def _table_row_payload(row: costs.TableRow) -> dict:
     return {
         "eps": str(row.eps),
         "ell_bf": row.ell_bf,
@@ -136,9 +135,9 @@ def _table_row_payload(row: TableRow) -> dict:
     }
 
 
-def _table_row_from(payload: dict) -> TableRow:
-    return TableRow(
-        eps=EpsSpec.parse(payload["eps"]),
+def _table_row_from(payload: dict) -> costs.TableRow:
+    return costs.TableRow(
+        eps=planner.EpsSpec.parse(payload["eps"]),
         ell_bf=payload["ell_bf"],
         ell_ps=payload["ell_ps"],
         ell_star=payload["ell_star"],
@@ -147,7 +146,7 @@ def _table_row_from(payload: dict) -> TableRow:
     )
 
 
-def _ratio_report_payload(report: RatioReport) -> dict:
+def _ratio_report_payload(report: testbed.RatioReport) -> dict:
     return {
         "eps": str(report.eps),
         "ell_star": report.ell_star,
@@ -167,9 +166,9 @@ def _ratio_report_payload(report: RatioReport) -> dict:
     }
 
 
-def _ratio_report_from(payload: dict) -> RatioReport:
-    return RatioReport(
-        eps=EpsSpec.parse(payload["eps"]),
+def _ratio_report_from(payload: dict) -> testbed.RatioReport:
+    return testbed.RatioReport(
+        eps=planner.EpsSpec.parse(payload["eps"]),
         ell_star=payload["ell_star"],
         rho_star=_fraction_from(payload["rho_star"], "rho_star"),
         rho_certified=payload["rho_certified"],
@@ -236,11 +235,12 @@ def _check_from(payload: dict) -> InstanceCheck:
     )
 
 
+# keyed by (module, class name), so building it loads no value class
 _KIND_OF_TYPE = {
-    EllPlan: ("plan", _plan_payload),
-    TableRow: ("table-row", _table_row_payload),
-    RatioReport: ("ratio-report", _ratio_report_payload),
-    InstanceCheck: ("property-check", _check_payload),
+    ("ellplan.planner", "EllPlan"): ("plan", _plan_payload),
+    ("ellplan.costs", "TableRow"): ("table-row", _table_row_payload),
+    ("ellplan.testbed", "RatioReport"): ("ratio-report", _ratio_report_payload),
+    (__name__, "InstanceCheck"): ("property-check", _check_payload),
 }
 
 _PARSER_OF_KIND: dict[str, Callable[[dict], object]] = {
@@ -259,9 +259,10 @@ def render_line(kind: str, payload: dict) -> str:
 
 def render_record(obj) -> str:
     """Render a plan, table row, ratio report or instance check as one line."""
-    entry = _KIND_OF_TYPE.get(type(obj))
+    cls = type(obj)
+    entry = _KIND_OF_TYPE.get((cls.__module__, cls.__qualname__))
     if entry is None:
-        raise RecordError(f"no record form for {type(obj).__name__}")
+        raise RecordError(f"no record form for {cls.__name__}")
     kind, payload_of = entry
     return render_line(kind, payload_of(obj))
 

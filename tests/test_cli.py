@@ -25,7 +25,7 @@ from ellplan.records import (
     parse_record,
     parse_records,
 )
-from ellplan.testbed import RatioReport
+from ellplan.testbed import BUNDLED_INSTANCES, RatioReport
 
 from conftest import GOLDEN_DIR
 
@@ -392,6 +392,21 @@ class TestTestbedCommand:
         with pytest.raises(SystemExit) as err:
             main(["testbed", "--eps", "1e-1"])
         assert err.value.code == EXIT_USAGE
+
+    def test_unknown_bundled_name_is_usage_error(self, capsys):
+        code, text = run("testbed", "--bundled", "nope", "--eps", "1e-1")
+        assert code == EXIT_USAGE
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: no bundled instance 'nope'")
+        assert err.count("\n") == 1
+
+    def test_help_lists_the_bundled_names(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["testbed", "--help"])
+        assert err.value.code == EXIT_OK
+        shown = capsys.readouterr().out
+        assert all(name in shown for name in BUNDLED_INSTANCES)
 
 
 class TestUsageErrors:

@@ -116,9 +116,19 @@ def test_no_unused_private_module_names():
     assert not unused, "unreferenced private names:\n" + "\n".join(unused)
 
 
+def _export_table_names(tree: ast.Module) -> list[str]:
+    """Every name listed in the ``_EXPORTS`` literal, repeats included."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets
+        ):
+            return [elt.value for names in node.value.values for elt in names.elts]
+    raise AssertionError("no _EXPORTS table in __init__.py")
+
+
 def test_all_matches_the_package_imports():
     tree = ast.parse(INIT.read_text(), filename=str(INIT))
-    assert set(ellplan.__all__) == set(_imported_names(tree))
+    assert sorted(ellplan.__all__) == sorted(_export_table_names(tree))
     assert len(ellplan.__all__) == len(set(ellplan.__all__))
     for name in ellplan.__all__:
         assert getattr(ellplan, name, None) is not None, name
