@@ -11,6 +11,10 @@ at the first attribute access, so a command pays only for the modules it
 uses.  ``import ellplan.bounds`` or ``from ellplan.bounds import phi`` loads
 it at once, as an eager import would.  The exported names resolve through
 ``__getattr__`` on first use.
+
+Python 3.11's ``LazyLoader`` takes no lock: two threads making the first use
+of one module at once can see it half-run.  The CLI runs on one thread; a
+threaded caller imports the submodules it needs before its threads start.
 """
 
 import importlib.util

@@ -103,9 +103,3 @@ def test_cli_calls_functions_replaced_in_their_defining_modules(monkeypatch):
     ):
         assert cli.main(argv, out=StringIO()) == cli.EXIT_OK
     assert calls == ["ratio_report", "reproduce_table", "plan"]
-
-
-def test_exports_resolve_to_their_defining_modules():
-    assert ellplan.plan is planner.plan
-    assert ellplan.ratio_report is testbed.ratio_report
-    assert ellplan.TableRow is costs.TableRow
