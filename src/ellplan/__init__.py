@@ -12,13 +12,16 @@ uses.  ``import ellplan.bounds`` or ``from ellplan.bounds import phi`` loads
 it at once, as an eager import would.  The exported names resolve through
 ``__getattr__`` on first use.
 
-Python 3.11's ``LazyLoader`` takes no lock: two threads making the first use
-of one module at once can see it half-run.  The CLI runs on one thread; a
-threaded caller imports the submodules it needs before its threads start.
+A first use is safe from any number of threads: one runs the module's code
+while the others wait for it.  If the code raises, the module goes back to
+its registered state and the next use runs it again, as a failed import is
+retried.
 """
 
 import importlib.util
 import sys
+import threading
+import types
 
 # defining submodule -> the names it exports as ``ellplan.<name>``
 _EXPORTS = {
@@ -69,13 +72,60 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = sorted(_MODULE_OF)
 
 
-def _register_lazily(name: str):
+# Held while a submodule's code runs.  The standard library's LazyLoader is
+# not used: before Python 3.12 it takes no lock and makes the module plain
+# before running its code, so a second thread can read a half-run module.
+_LOAD_LOCK = threading.RLock()
+_LOADING = set()  # submodules whose code the lock's holder is running
+
+
+class _LazyModule(types.ModuleType):
+    """A registered submodule whose code has not run yet.
+
+    The first attribute access, assignment or deletion runs the code and
+    turns this object into a plain module in place, so every reference to
+    it sees the loaded module.
+    """
+
+    def __getattribute__(self, attr):
+        _load(self)
+        return types.ModuleType.__getattribute__(self, attr)
+
+    def __setattr__(self, attr, value):
+        _load(self)
+        types.ModuleType.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        _load(self)
+        types.ModuleType.__delattr__(self, attr)
+
+
+def _load(module: _LazyModule) -> None:
+    get = types.ModuleType.__getattribute__
+    with _LOAD_LOCK:
+        name = get(module, "__name__")
+        # loaded while this thread waited, or read by its own running code
+        if type(module) is not _LazyModule or name in _LOADING:
+            return
+        namespace = get(module, "__dict__")
+        registered = dict(namespace)
+        _LOADING.add(name)
+        try:
+            get(module, "__spec__").loader.exec_module(module)
+        except BaseException:
+            namespace.clear()
+            namespace.update(registered)
+            raise
+        finally:
+            _LOADING.discard(name)
+        types.ModuleType.__setattr__(module, "__class__", types.ModuleType)
+
+
+def _register_lazily(name: str) -> types.ModuleType:
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
     module = importlib.util.module_from_spec(spec)
+    module.__class__ = _LazyModule
     sys.modules[spec.name] = module
-    loader.exec_module(module)
     return module
 
 

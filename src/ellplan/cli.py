@@ -78,6 +78,17 @@ class _Parser(argparse.ArgumentParser):
         super().exit(status, message)
 
 
+class _BundledNames:
+    """The ``--bundled`` choices.  argparse reads them only to check a given
+    name or to print help, so building the parser does not load testbed."""
+
+    def __contains__(self, name) -> bool:
+        return name in testbed.BUNDLED_INSTANCES
+
+    def __iter__(self):
+        return iter(testbed.BUNDLED_INSTANCES)
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -149,7 +160,8 @@ def _build_parser() -> _Parser:
     source = p_testbed.add_mutually_exclusive_group(required=True)
     source.add_argument("--instance", metavar="PATH", help="instance file")
     source.add_argument(
-        "--bundled", metavar="NAME", help="shipped instance: three_cover or greedy_gap"
+        "--bundled", choices=_BundledNames(), metavar="NAME",
+        help="shipped instance: %(choices)s",
     )
     source.add_argument(
         "--random", type=int, metavar="N", help="N seeded random instances"
@@ -453,11 +465,6 @@ def _named_instances(
     if args.instance is not None:
         return [(args.instance, testbed.load_instance(args.instance))]
     if args.bundled is not None:
-        if args.bundled not in testbed.BUNDLED_INSTANCES:
-            raise ValueError(
-                f"no bundled instance {args.bundled!r}; choose from "
-                + ", ".join(testbed.BUNDLED_INSTANCES)
-            )
         return [(args.bundled, testbed.bundled_instance(args.bundled))]
     if args.random < 1:
         raise ValueError("--random needs a positive count")
@@ -517,7 +524,7 @@ def _cmd_testbed(args, config: RunConfig, out) -> int:
         if structured:
             print(records.render_record(report), file=out)
         else:
-            certified = "certified" if report.rho_certified else "NOT CERTIFIED"
+            certainty = "certified" if report.rho_certified else "NOT CERTIFIED"
             print(
                 f"  opt      = {report.f_opt} via {{{', '.join(report.opt_set)}}} "
                 f"({report.oracle_calls_brute} oracle calls)",
@@ -532,7 +539,7 @@ def _cmd_testbed(args, config: RunConfig, out) -> int:
             print(
                 f"  ell_star = {report.ell_star} for eps = {spec}; "
                 f"rho_star = {report.rho_star} "
-                f"({certified} >= 1 - 1/e - eps)",
+                f"({certainty} >= 1 - 1/e - eps)",
                 file=out,
             )
             print(f"  target   = rho_star * opt = {report.target_value}", file=out)

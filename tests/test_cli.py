@@ -394,12 +394,16 @@ class TestTestbedCommand:
         assert err.value.code == EXIT_USAGE
 
     def test_unknown_bundled_name_is_usage_error(self, capsys):
-        code, text = run("testbed", "--bundled", "nope", "--eps", "1e-1")
-        assert code == EXIT_USAGE
-        assert text == ""
-        err = capsys.readouterr().err
-        assert err.startswith("error: no bundled instance 'nope'")
-        assert err.count("\n") == 1
+        with pytest.raises(SystemExit) as err:
+            main(["testbed", "--bundled", "nope", "--eps", "1e-1"])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ellplan testbed")
+        assert "Traceback" not in captured.err
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("ellplan testbed: error: argument --bundled: ")
+        assert "invalid choice: 'nope'" in last
 
     def test_help_lists_the_bundled_names(self, capsys):
         with pytest.raises(SystemExit) as err:

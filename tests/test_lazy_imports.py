@@ -3,8 +3,10 @@
 The package registers its submodules as lazy modules (see the ``ellplan``
 docstring).  These tests check what that promises: a command runs the code
 of no module it does not need, ``import ellplan.cli`` still puts every
-module in ``sys.modules``, and a function replaced in its defining module's
-namespace is the one the CLI calls, as an outside tracer relies on.
+module in ``sys.modules``, a function replaced in its defining module's
+namespace is the one the CLI calls, as an outside tracer relies on, threads
+making a first use at once each see the whole module, and a failed first use
+is retried.
 """
 
 import json
@@ -52,14 +54,7 @@ _TEXT_COMMANDS = [
 
 
 def _probe(commands) -> dict:
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ellplan.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", _PROBE, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+    return _run_fresh(_PROBE, json.dumps(commands))
 
 
 def test_text_commands_run_no_costs_testbed_or_records_code():
@@ -103,3 +98,95 @@ def test_cli_calls_functions_replaced_in_their_defining_modules(monkeypatch):
     ):
         assert cli.main(argv, out=StringIO()) == cli.EXIT_OK
     assert calls == ["ratio_report", "reproduce_table", "plan"]
+
+
+# Eight threads resolve every export at once, each in its own order, after a
+# barrier; prints the errors and how often each module's code ran.
+_THREADS = """
+import json, os, random, sys, threading
+
+runs = {}
+
+def _watch(event, args):
+    if event == "exec":
+        path = getattr(args[0], "co_filename", "")
+        if os.path.basename(os.path.dirname(path)) == "ellplan":
+            name = os.path.basename(path)[:-3]
+            runs[name] = runs.get(name, 0) + 1
+
+sys.addaudithook(_watch)
+import ellplan
+
+barrier = threading.Barrier(8)
+errors = []
+
+def resolve(seed):
+    names = list(ellplan.__all__)
+    random.Random(seed).shuffle(names)
+    barrier.wait()
+    try:
+        for name in names:
+            value = getattr(ellplan, name)
+            assert value is getattr(sys.modules[f"ellplan.{ellplan._MODULE_OF[name]}"], name)
+    except BaseException as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=resolve, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(json.dumps({"errors": errors, "runs": runs}))
+"""
+
+# The first use of ellplan.plan fails (fractions is blocked); once it is
+# unblocked, the next use runs planner again and every export resolves.
+_RETRY = """
+import io, json, sys
+import ellplan
+
+sys.modules["fractions"] = None
+try:
+    ellplan.plan
+except ImportError:
+    failed = True
+else:
+    failed = False
+del sys.modules["fractions"]
+
+import ellplan.cli
+
+resolved = all(
+    getattr(ellplan, name) is getattr(sys.modules[f"ellplan.{module}"], name)
+    for name, module in ellplan._MODULE_OF.items()
+)
+code = ellplan.cli.main(["plan", "--eps", "1e-2"], out=io.StringIO())
+same = all(
+    sys.modules[f"ellplan.{name}"] is getattr(ellplan, name)
+    for name in ("certified", "bounds", "planner", "records", "costs", "testbed")
+)
+print(json.dumps({"failed": failed, "resolved": resolved, "code": code, "same": same}))
+"""
+
+
+def _run_fresh(source: str, *args) -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ellplan.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", source, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_first_use_from_many_threads_runs_each_module_once():
+    seen = _run_fresh(_THREADS)
+    assert seen["errors"] == []
+    lazy = ("certified", "bounds", "planner", "costs", "testbed")
+    assert {name: seen["runs"].get(name) for name in lazy} == dict.fromkeys(lazy, 1)
+
+
+def test_exports_resolve_after_a_failed_first_use():
+    seen = _run_fresh(_RETRY)
+    assert seen == {"failed": True, "resolved": True, "code": 0, "same": True}
