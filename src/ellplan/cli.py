@@ -399,13 +399,18 @@ def _cmd_table(args, config: RunConfig, out) -> int:
 
     if not args.check:
         return EXIT_OK
-    result = costs.check_against_expected(rows, policy=config.policy)
-    if result.ok:
-        print(f"check: all {len(rows)} rows match the embedded values", file=out)
-        return EXIT_OK
-    for mismatch in result.mismatches:
-        print(f"check: MISMATCH {mismatch}", file=out)
-    return EXIT_FAILURE
+    result = costs.check_against_expected(rows)
+    if config.output_format == "structured":
+        # each mismatch as its row, column, expected and got fields
+        line = {"ok": result.ok, "mismatches": [vars(m) for m in result.mismatches]}
+        print(records.render_line("table-check", line), file=out)
+    else:
+        lines = [f"check: MISMATCH {m}" for m in result.mismatches] or [
+            f"check: all {len(rows)} rows match the embedded values"
+        ]
+        # csv stdout holds the header and the rows alone
+        print(*lines, sep="\n", file=sys.stderr if config.output_format == "csv" else out)
+    return EXIT_OK if result.ok else EXIT_FAILURE
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Query-cost accounting: exact 2^(delta ell) savings and the reference table.
+"""Query-cost accounting: 2^(delta ell) savings and the reference table.
 
-Every factor is an exact big integer first and a rendering second, so "about
-4.8 x 10^24" is pure formatting on top of 2^82.  Rendering keeps two
-significant digits and rounds half-up; digit counts of the big integers are
-computed by bracketing against powers of ten, never by stringifying a number
-with thousands of digits.
+A factor is held as its power of two, so "about 4.8 x 10^24" is 2^82 read
+through certified logarithms: the rendering keeps two significant digits,
+rounds half-up, and comes from comparisons of d log 2 with k log 10 +
+log(2j+1), never from the integer 2^d, whose digits would grow like 1/eps.
 
 Reference values rendered from truncated decimals elsewhere can disagree with
 half-up rounding in the last digit (9.6 vs 9.7), so comparisons against
@@ -17,26 +16,48 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ellplan import certified
 from ellplan._value import Frozen
 from ellplan.certified import DEFAULT_POLICY, RationalLike, RefinementPolicy
 from ellplan.planner import EpsSpec, _ell_star_search, ell_bf
 
 
-def decimal_digit_count(n: int) -> int:
-    """Number of decimal digits of n >= 1, without building str(n)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    # bit_length * log10(2) estimates within 1; correct by direct bracketing
-    d = max(1, round(n.bit_length() * 0.30103))
-    while 10**d <= n:
-        d += 1
-    while d > 1 and 10 ** (d - 1) > n:
-        d -= 1
-    return d
+def _rendering_index(d: int) -> int:
+    """The half-up two-digit rendering of 2^d as a grid index 90 k + (j - 10).
+
+    Index i, with (k, j - 10) = divmod(i, 90), renders j/10 * 10^k and ends
+    at the threshold (2j+1)/2 * 10^(k-1), so 2^d renders as the least index
+    whose threshold exceeds it, the carry to 1.0e(k+1) included.  No
+    threshold is a power of two (the odd (2j+1) 5^(k-1) >= 21 is not, and
+    for k = 0 the even 10 * 2^(d+1) is not odd), so each comparison of
+    (d+1) log 2 with (k-1) log 10 + log(2j+1) resolves.
+    """
+    log2, log10 = certified.log1p_of(1), certified.log1p_of(9)
+    side = (d + 1) * log2
+
+    def below(i: int) -> bool:
+        k, units = divmod(i, 90)
+        threshold = (k - 1) * log10 + certified.log1p_of(2 * units + 20)
+        verdict = certified.cmp_certified(side, threshold).verdict
+        if verdict is certified.Verdict.UNRESOLVED:
+            raise certified.PrecisionExhausted("rendering of 2^d unresolved")
+        return verdict is certified.Verdict.LESS
+
+    # log10(2^d) within about 2^-60; 64-bit steps let nearby d share caches
+    p = 64 * (d.bit_length() // 64 + 2)
+    x = d * log2.enclose(p).lo / log10.enclose(p).hi
+    k, fraction = divmod(x, 1)
+    # a float guess at the index; the certified comparisons alone settle it
+    i = 90 * k + round(10 ** (1 + float(fraction))) - 10
+    while below(i - 1):
+        i -= 1
+    while not below(i):
+        i += 1
+    return i
 
 
 class BigMagnitude(Frozen):
-    """An exact power of two plus its two-significant-digit rendering.
+    """The power of two 2^pow2 and its two-significant-digit rendering.
 
     sci_mantissa is a string like "4.8"; the rendered value is
     sci_mantissa * 10^sci_exponent.  Half-up rounding means the rendering can
@@ -45,34 +66,18 @@ class BigMagnitude(Frozen):
     should use mantissa_adjacent rather than a relative-error gate.
     """
 
-    exact: int
-    sci_mantissa: str
-    sci_exponent: int
+    pow2: int
 
-    @classmethod
-    def from_int(cls, n: int) -> "BigMagnitude":
-        if n < 1:
-            raise ValueError(f"need a positive integer, got {n}")
-        d = decimal_digit_count(n)
-        if d == 1:
-            m = n * 10
-        elif d == 2:
-            m = n
-        else:
-            scale = 10 ** (d - 2)
-            m = (n + scale // 2) // scale
-        exponent = d - 1
-        if m == 100:  # carry: 99.5+ rounds into the next decade
-            m = 10
-            exponent = d
-        return cls(n, f"{m // 10}.{m % 10}", exponent)
+    def __post_init__(self) -> None:
+        if type(self.pow2) is not int or self.pow2 < 0:
+            raise ValueError(f"need an int power >= 0, got {self.pow2!r}")
+        exponent, units = divmod(_rendering_index(self.pow2), 90)
+        object.__setattr__(self, "sci_mantissa", f"{1 + units // 10}.{units % 10}")
+        object.__setattr__(self, "sci_exponent", exponent)
 
     @property
     def sci(self) -> str:
         return f"{self.sci_mantissa}e{self.sci_exponent}"
-
-    def __str__(self) -> str:
-        return self.sci
 
 
 def mantissa_adjacent(a_mantissa: str, a_exp: int, b_mantissa: str, b_exp: int) -> bool:
@@ -92,12 +97,10 @@ def mantissa_adjacent(a_mantissa: str, a_exp: int, b_mantissa: str, b_exp: int) 
 
 
 def savings_factor(ell_hi: int, ell_lo: int) -> BigMagnitude:
-    """Exact 2^(ell_hi - ell_lo), the per-evaluation enumeration savings."""
+    """2^(ell_hi - ell_lo), the per-evaluation enumeration savings."""
     if ell_lo < 1 or ell_hi < 1:
         raise ValueError("depths must be positive")
-    if ell_hi < ell_lo:
-        raise ValueError(f"savings need ell_hi >= ell_lo, got {ell_hi} < {ell_lo}")
-    return BigMagnitude.from_int(1 << (ell_hi - ell_lo))
+    return BigMagnitude(ell_hi - ell_lo)  # which rejects ell_hi < ell_lo
 
 
 class TableRow(Frozen):
@@ -109,16 +112,6 @@ class TableRow(Frozen):
     ell_star: int
     factor_ps: BigMagnitude
     factor_star: BigMagnitude
-
-
-# the reference slacks, in presentation order
-PAPER_EPS = (
-    EpsSpec(Fraction(1, 10)),
-    EpsSpec(Fraction(1, 20)),
-    EpsSpec(Fraction(1, 100)),
-    EpsSpec(Fraction(1, 1000)),
-    EpsSpec(Fraction(1, 10000)),
-)
 
 
 class ExpectedRow(Frozen):
@@ -143,6 +136,9 @@ EXPECTED_TABLE = (
     ExpectedRow("1e-3", 1001, 184, 184, "8.8", 245, "8.8", 245),
     ExpectedRow("1e-4", 10001, 1840, 1839, "5.1", 2456, "1.0", 2457),
 )
+
+# the reference slacks, in presentation order
+PAPER_EPS = tuple(EpsSpec.parse(row.eps_text) for row in EXPECTED_TABLE)
 
 
 def format_eps(eps: Union[EpsSpec, Fraction]) -> str:
@@ -219,9 +215,7 @@ class TableCheck(Frozen):
 
 
 def check_against_expected(
-    rows: Optional[Sequence[TableRow]] = None,
-    expected: Sequence[ExpectedRow] = EXPECTED_TABLE,
-    policy: RefinementPolicy = DEFAULT_POLICY,
+    rows: Sequence[TableRow], expected: Sequence[ExpectedRow] = EXPECTED_TABLE
 ) -> TableCheck:
     """Compare computed rows against embedded expectations, cell by cell.
 
@@ -229,8 +223,6 @@ def check_against_expected(
     step of the final digit (the embedded values come from a source whose
     rounding convention is unstated).
     """
-    if rows is None:
-        rows = reproduce_table([EpsSpec.parse(e.eps_text) for e in expected], policy)
     if len(rows) != len(expected):
         raise ValueError(f"{len(rows)} rows against {len(expected)} expectations")
     bad: list[CellMismatch] = []

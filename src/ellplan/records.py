@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from ellplan import certified, costs, planner, testbed
 from ellplan._value import Frozen
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class RecordError(ValueError):
@@ -84,20 +84,22 @@ def _enclosure_from(obj, path: str) -> certified.Enclosure:
 
 def _magnitude_payload(mag: costs.BigMagnitude) -> dict:
     return {
-        "exact": str(mag.exact),
+        "pow2": mag.pow2,
         "mantissa": mag.sci_mantissa,
         "exponent": mag.sci_exponent,
     }
 
 
 def _magnitude_from(obj, path: str) -> costs.BigMagnitude:
-    if not isinstance(obj, dict) or set(obj) != {"exact", "mantissa", "exponent"}:
-        raise RecordError(f"{path}: expected exact/mantissa/exponent")
+    if not isinstance(obj, dict) or set(obj) != {"pow2", "mantissa", "exponent"}:
+        raise RecordError(f"{path}: expected pow2/mantissa/exponent")
     try:
-        exact = int(obj["exact"])
-    except (TypeError, ValueError) as exc:
-        raise RecordError(f"{path}.exact: bad integer") from exc
-    return costs.BigMagnitude(exact, obj["mantissa"], obj["exponent"])
+        mag = costs.BigMagnitude(obj["pow2"])
+    except ValueError as exc:
+        raise RecordError(f"{path}.pow2: {exc}") from exc
+    if (obj["mantissa"], obj["exponent"]) != (mag.sci_mantissa, mag.sci_exponent):
+        raise RecordError(f"{path}: 2^pow2 renders as {mag.sci}")
+    return mag
 
 
 def _plan_payload(plan: planner.EllPlan) -> dict:

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-# Table factors and testbed values stay well under this, but a few tests
-# serialize numbers in the tens of thousands of digits.
+# Testbed values stay well under this, but a few tests serialize plan
+# rationals in the tens of thousands of digits.
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
 

@@ -17,7 +17,8 @@ from ellplan.cli import (
     _parse_grid,
     main,
 )
-from ellplan.costs import EXPECTED_TABLE
+from ellplan import costs
+from ellplan.costs import EXPECTED_TABLE, ExpectedRow
 from ellplan.planner import EllPlan
 from ellplan.records import (
     SCHEMA_VERSION,
@@ -231,6 +232,62 @@ class TestTableCommand:
         rows = parse_records(text)
         assert len(rows) == len(EXPECTED_TABLE)
         assert [r.ell_star for r in rows] == [2, 4, 18, 184, 1839]
+
+    def test_structured_check_is_a_status_line(self):
+        code, text = run("table", "--check", "--format", "structured")
+        assert code == EXIT_OK
+        lines = text.splitlines()
+        docs = [json.loads(line) for line in lines]
+        assert all(doc["schema"] == SCHEMA_VERSION for doc in docs)
+        assert [doc["kind"] for doc in docs] == ["table-row"] * 5 + ["table-check"]
+        assert docs[-1]["ok"] is True and docs[-1]["mismatches"] == []
+        assert len(parse_records("\n".join(lines[:-1]))) == 5
+
+    def test_csv_check_keeps_stdout_to_the_table(self, capsys):
+        code, text = run("table", "--check", "--format", "csv")
+        assert code == EXIT_OK
+        assert text == (GOLDEN_DIR / "table.csv").read_text()
+        assert capsys.readouterr().err == "check: all 5 rows match the embedded values\n"
+
+    def test_check_mismatch_in_each_format(self, monkeypatch, capsys):
+        wrong = (ExpectedRow("1e-1", 12, 2, 2, "5.1", 2, "5.1", 2),)
+        check = costs.check_against_expected
+        monkeypatch.setattr(
+            costs, "check_against_expected", lambda rows: check(rows, wrong)
+        )
+        argv = ("table", "--eps", "1e-1", "--check")
+        line = "check: MISMATCH row 1e-1, column ell_bf: expected 12, got 11\n"
+
+        code, text = run(*argv, "--format", "structured")
+        assert code == EXIT_FAILURE
+        doc = json.loads(text.splitlines()[-1])
+        assert doc["kind"] == "table-check" and doc["ok"] is False
+        assert doc["mismatches"] == [
+            {"row": "1e-1", "column": "ell_bf", "expected": "12", "got": "11"}
+        ]
+        code, text = run(*argv, "--format", "csv")
+        assert code == EXIT_FAILURE
+        assert text.count("\n") == 2
+        assert capsys.readouterr().err == line
+        code, text = run(*argv)
+        assert code == EXIT_FAILURE
+        assert text.endswith(line)
+
+    @pytest.mark.parametrize("output_format", ["text", "csv", "structured"])
+    @pytest.mark.parametrize("eps", ["1e-9", "1e-12", "1e-20", "1e-300"])
+    def test_deep_slack_answers_in_bounded_time(self, eps, output_format):
+        # the savings factors are powers of two with up to 2.5 * 10^299
+        # digits here; rendering them must not build them
+        start = time.perf_counter()
+        code, text = run("table", "--eps", eps, "--format", output_format)
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK, text
+        assert elapsed < 1.0, f"table took {elapsed:.2f}s"
+
+    def test_structured_row_stays_small(self):
+        code, text = run("table", "--eps", "1e-6", "--format", "structured")
+        assert code == EXIT_OK
+        assert len(text) < 2048
 
 
 class TestCertifyCommand:

@@ -12,7 +12,6 @@ from ellplan.costs import (
     BigMagnitude,
     ExpectedRow,
     check_against_expected,
-    decimal_digit_count,
     format_eps,
     mantissa_adjacent,
     render_table_csv,
@@ -30,27 +29,15 @@ def _mantissa_units(mag: BigMagnitude) -> int:
     return int(mag.sci_mantissa.replace(".", ""))
 
 
-class TestDigitCount:
-    @pytest.mark.parametrize(
-        "n,d", [(1, 1), (9, 1), (10, 2), (99, 2), (100, 3), (10**6 - 1, 6), (10**6, 7)]
-    )
-    def test_boundaries(self, n, d):
-        assert decimal_digit_count(n) == d
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            decimal_digit_count(0)
-
-    @given(st.integers(min_value=1, max_value=10**40))
-    @settings(max_examples=100)
-    def test_matches_string_length(self, n):
-        assert decimal_digit_count(n) == len(str(n))
-
-    def test_pow2_sweep_matches_certified_formula(self):
-        # the bit-length estimate of the digit count can be off by one and
-        # the bracketing must correct it; spot the whole working range
-        for delta in range(0, 10**4 + 1, 7):
-            assert decimal_digit_count(1 << delta) == len(str(1 << delta))
+def _reference_sci(d: int) -> str:
+    """Half-up two-digit rendering of 2^d, read off its decimal digits."""
+    text = str(1 << d)
+    exponent = len(text) - 1
+    # the third digit alone decides half-up rounding to two digits
+    units = (int(text[:3].ljust(3, "0")) + 5) // 10
+    if units == 100:
+        units, exponent = 10, exponent + 1
+    return f"{units // 10}.{units % 10}e{exponent}"
 
 
 class TestBigMagnitude:
@@ -62,30 +49,39 @@ class TestBigMagnitude:
             (64, "6.4e1"),
             (512, "5.1e2"),
             (131072, "1.3e5"),
-            (995, "1.0e3"),
-            (994, "9.9e2"),
-            (1050000, "1.1e6"),
-            (1049999, "1.0e6"),
             (2**82, "4.8e24"),
             (2**83, "9.7e24"),
+            (2**485, "1.0e146"),  # 9.98e145: the carry into the next decade
             (2**817, "8.7e245"),
             (2**8161, "5.1e2456"),
             (2**8162, "1.0e2457"),
         ],
     )
     def test_half_up_rendering(self, n, sci):
-        mag = BigMagnitude.from_int(n)
+        mag = BigMagnitude(n.bit_length() - 1)
+        assert 1 << mag.pow2 == n
         assert mag.sci == sci
-        assert mag.exact == n
+
+    @pytest.mark.parametrize(
+        "ds",
+        [range(400), [8161, 8162, 81615, 816155]],
+        ids=["0..399", "large"],
+    )
+    def test_matches_decimal_reference(self, ds):
+        for d in ds:
+            assert BigMagnitude(d).sci == _reference_sci(d), d
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            BigMagnitude.from_int(0)
+        # 2^d for d < 0 is not a whole number; the power must be an int
+        for bad in (-1, True, 2.0, "3"):
+            with pytest.raises(ValueError):
+                BigMagnitude(bad)
 
-    @given(st.integers(min_value=1, max_value=10**30))
+    @given(st.integers(min_value=0, max_value=100))
     @settings(max_examples=120)
-    def test_rendering_error_is_half_final_digit(self, n):
-        mag = BigMagnitude.from_int(n)
+    def test_rendering_error_is_half_final_digit(self, d):
+        mag = BigMagnitude(d)
+        n = 1 << d
         rendered = Fraction(_mantissa_units(mag), 10) * Fraction(10) ** mag.sci_exponent
         # half-up to two significant digits: off by at most half a unit of
         # the second digit, i.e. 5 parts in 100-ish of the leading digit.
@@ -99,12 +95,25 @@ class TestBigMagnitude:
     @settings(max_examples=80)
     def test_pow2_never_hits_exact_tie(self, delta):
         # 2^delta has no trailing decimal 5 at the rounding position unless
-        # small; the rendering must still be within the half-ulp gate
-        mag = BigMagnitude.from_int(1 << delta)
-        assert mag.sci_exponent == decimal_digit_count(1 << delta) - 1 or (
-            _mantissa_units(mag) == 10
-            and mag.sci_exponent == decimal_digit_count(1 << delta)
+        # small; the exponent is the digit count less one, or the carry's
+        digits = len(str(1 << delta))
+        mag = BigMagnitude(delta)
+        assert mag.sci_exponent == digits - 1 or (
+            _mantissa_units(mag) == 10 and mag.sci_exponent == digits
         )
+
+    @pytest.mark.parametrize("d", [10**40 + 7, 3**300, 8 * 10**299])
+    def test_renders_without_the_integer(self, d):
+        # 2^d has about 0.3 d digits, far too many to build here; mpmath
+        # reads the same rendering off log10(2^d)
+        mag = BigMagnitude(d)
+        with mp.workdps(len(str(d)) + 40):
+            x = d * mp.log10(2)
+            k = int(mp.floor(x))
+            units = int(mp.floor(10 ** (x - k + 1) + mp.mpf(1) / 2))
+        if units == 100:
+            units, k = 10, k + 1
+        assert (mag.sci_mantissa, mag.sci_exponent) == (f"{units // 10}.{units % 10}", k)
 
 
 class TestMantissaAdjacent:
@@ -136,10 +145,10 @@ class TestSavingsFactor:
         assert savings_factor(101, 19).sci == "4.8e24"
         assert savings_factor(10001, 1839).sci == "1.0e2457"
         assert savings_factor(11, 11).sci == "1.0e0"
-        assert savings_factor(11, 11).exact == 1
+        assert savings_factor(11, 11).pow2 == 0
 
     def test_exactness(self):
-        assert savings_factor(101, 19).exact == 2**82
+        assert savings_factor(101, 19).pow2 == 82
 
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
@@ -181,7 +190,7 @@ class TestSavingsExponent:
                 bf, ps = ell_bf(eps), ell_ps(eps)
                 excess = bf - ps - total * eps.denominator / eps.numerator
                 assert 0 < excess < 2, (eps, excess)
-                assert savings_factor(bf, ps).exact == 2 ** (bf - ps)
+                assert savings_factor(bf, ps).pow2 == bf - ps
 
 
 class TestReproduceTable:
@@ -215,7 +224,7 @@ class TestReproduceTable:
 
     def test_star_factor_dominates(self):
         for row in reproduce_table():
-            assert row.factor_star.exact >= row.factor_ps.exact
+            assert row.factor_star.pow2 >= row.factor_ps.pow2
 
     def test_custom_eps(self):
         (row,) = reproduce_table([Fraction(1, 100000)])
@@ -228,7 +237,7 @@ class TestReproduceTable:
 
 class TestCheckAgainstExpected:
     def test_reference_table_passes(self):
-        report = check_against_expected()
+        report = check_against_expected(reproduce_table())
         assert report.ok
         assert report.mismatches == ()
 

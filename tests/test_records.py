@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,21 @@ class TestRoundTrip:
     def test_table_rows(self, sample_rows):
         for row in sample_rows:
             assert parse_record(render_record(row)) == row
+
+    def test_table_row_far_below_the_reference_slacks(self):
+        # 2^(ell_bf - ell_ps) has about 2.5 * 10^299 digits at 1e-300; the
+        # row carries the power alone, so Python's default cap of 4300 digits
+        # per int-to-str conversion is enough to render and parse it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            (row,) = reproduce_table(["1e-300"])
+            line = render_record(row)
+            assert parse_record(line) == row
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(line) < 4096  # seven numbers of about 300 digits
+        assert json.loads(line)["factor_ps"]["pow2"] == row.ell_bf - row.ell_ps
 
     def test_ratio_report(self, sample_report):
         assert parse_record(render_record(sample_report)) == sample_report
@@ -140,6 +156,29 @@ class TestErrors:
         doc = json.loads(render_record(sample_plan))
         doc["rho_star"] = "4/0"
         with pytest.raises(RecordError, match="rho_star"):
+            parse_record(json.dumps(doc))
+
+    def test_v1_table_line_rejected(self):
+        # the form schema 1 wrote, with the decimal 2^d as "exact"
+        factor = {"exact": "512", "exponent": 2, "mantissa": "5.1"}
+        line = json.dumps(
+            {"ell_bf": 11, "ell_ps": 2, "ell_star": 2, "eps": "1/10",
+             "factor_ps": factor, "factor_star": factor,
+             "kind": "table-row", "schema": 1}
+        )
+        with pytest.raises(RecordError, match="unsupported schema 1"):
+            parse_record(line)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("mantissa", "4.9"), ("exponent", 25), ("pow2", 83), ("pow2", True),
+         ("pow2", -1), ("pow2", 82.0), ("pow2", "82")],
+    )
+    def test_bad_magnitude_rejected(self, sample_rows, field, value):
+        doc = json.loads(render_record(sample_rows[1]))
+        assert doc["factor_ps"] == {"pow2": 82, "mantissa": "4.8", "exponent": 24}
+        doc["factor_ps"][field] = value
+        with pytest.raises(RecordError, match="factor_ps"):
             parse_record(json.dumps(doc))
 
     def test_bad_witness_shape(self):
