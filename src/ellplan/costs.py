@@ -45,7 +45,7 @@ def _rendering_index(d: int) -> int:
 
     # log10(2^d) within about 2^-60; 64-bit steps let nearby d share caches
     p = 64 * (d.bit_length() // 64 + 2)
-    x = d * log2.enclose(p).lo / log10.enclose(p).hi
+    x = d * certified.enclose_log1p(1, p).lo / certified.enclose_log1p(9, p).hi
     k, fraction = divmod(x, 1)
     # a float guess at the index; the certified comparisons alone settle it
     i = 90 * k + round(10 ** (1 + float(fraction))) - 10

@@ -1,3 +1,4 @@
+import builtins
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from ellplan import costs
 from ellplan.costs import (
     EXPECTED_TABLE,
     PAPER_EPS,
@@ -69,6 +71,16 @@ class TestBigMagnitude:
     )
     def test_matches_decimal_reference(self, ds):
         for d in ds:
+            assert BigMagnitude(d).sci == _reference_sci(d), d
+
+    @pytest.mark.parametrize("offset", [-95, -1, 1, 95])
+    def test_a_wrong_guess_is_walked_back(self, monkeypatch, offset):
+        # the float guess is right for every d tested here; shift it so the
+        # certified walk has to move, across a decade for |offset| > 90
+        monkeypatch.setattr(
+            costs, "round", lambda x: builtins.round(x) + offset, raising=False
+        )
+        for d in (0, 1, 9, 82, 485, 8162):
             assert BigMagnitude(d).sci == _reference_sci(d), d
 
     def test_rejects_nonpositive(self):
