@@ -412,11 +412,12 @@ class ExpansionReport(Frozen):
         return "\n".join(lines)
 
 
-def check_expansion_agreement(
-    ells: Iterable[int],
-    envelope: Fraction = Fraction(1),
-    precision_bits: int = 192,
-) -> ExpansionReport:
+# the bound on ell^4 times the expansion defect, and the enclosure precision
+_EXPANSION_ENVELOPE = Fraction(1)
+_EXPANSION_BITS = 192
+
+
+def check_expansion_agreement(ells: Iterable[int]) -> ExpansionReport:
     """Certify that the cubic expansion of e*sharp(ell) has an ell^-4 defect.
 
     For each ell the defect D(ell) = exp(sharp exponent) - (1 + 1/(2 ell)
@@ -431,12 +432,12 @@ def check_expansion_agreement(
         ell = _check_ell(ell)
         if ell < 10:
             raise ValueError("expansion agreement is meaningful only for ell >= 10")
-        enc = enclose_exp(sharp_exponent(ell), precision_bits)
+        enc = enclose_exp(sharp_exponent(ell), _EXPANSION_BITS)
         prefix = _expansion_prefix(ell)
         scaled = Enclosure((enc.lo - prefix) * ell**4, (enc.hi - prefix) * ell**4)
-        ok = -envelope < scaled.lo and scaled.hi < envelope
+        ok = -_EXPANSION_ENVELOPE < scaled.lo and scaled.hi < _EXPANSION_ENVELOPE
         entries.append(ExpansionEntry(ell, scaled, positive=scaled.lo > 0, ok=ok))
-    return ExpansionReport(Fraction(envelope), tuple(entries))
+    return ExpansionReport(_EXPANSION_ENVELOPE, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,12 @@ Exit codes are part of the contract:
 
 Structured output is one schema-tagged line per object (see records).
 Every setting comes from the command line; no environment variable is
-read.  Every command runs on one thread; the former `--worker-count` option
-is gone and, like any unknown argument, exits 3.
+read.  The parser is the one place a setting is declared, and each
+subcommand takes only the options its command reads: `--precision-start`
+and `--precision-cap` on all five, `--format csv` on `table` alone and
+`--seed` on `testbed` alone.  Any other option, like any unknown argument,
+exits 3.  `main` checks the precision pair as it builds the one policy every
+command runs under.  Every command runs on one thread.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import Optional, Sequence
 # modules, not names: a module runs at its first use here (see ellplan),
 # and a function replaced in its defining module is the one called
 from ellplan import bounds, certified, costs, planner, records, testbed
-from ellplan._value import Frozen
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -34,30 +37,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 _EXPANSION_ELLS = (100, 1000, 10000)
-
-
-class RunConfig(Frozen):
-    """Settings shared by every subcommand."""
-
-    precision_start_bits: int = certified.DEFAULT_POLICY.start_bits
-    precision_cap_bits: int = certified.DEFAULT_POLICY.cap_bits
-    output_format: str = "text"
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if not 8 <= self.precision_start_bits <= self.precision_cap_bits <= 65536:
-            raise ValueError(
-                "need 8 <= precision start <= precision cap <= 65536, got "
-                f"start={self.precision_start_bits} cap={self.precision_cap_bits}"
-            )
-        if self.output_format not in ("text", "structured", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-
-    @property
-    def policy(self) -> certified.RefinementPolicy:
-        return certified.RefinementPolicy(
-            start_bits=self.precision_start_bits, cap_bits=self.precision_cap_bits
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,20 +69,15 @@ class _BundledNames:
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--precision-start", type=int, default=RunConfig.precision_start_bits,
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument(
+        "--precision-start", type=int, default=certified.DEFAULT_POLICY.start_bits,
         metavar="BITS", help="first rung of the precision ladder (default %(default)s)",
     )
-    common.add_argument(
-        "--precision-cap", type=int, default=RunConfig.precision_cap_bits,
+    precision.add_argument(
+        "--precision-cap", type=int, default=certified.DEFAULT_POLICY.cap_bits,
         metavar="BITS", help="last rung of the ladder (default %(default)s)",
     )
-    common.add_argument(
-        "--format", choices=("text", "structured", "csv"), default="text",
-        help="output format (csv applies to `table` only)",
-    )
-    common.add_argument("--seed", type=int, default=None)
 
     parser = _Parser(
         prog="ellplan",
@@ -112,16 +86,18 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_plan = sub.add_parser(
-        "plan", parents=[common], help="compute depth rules for a slack"
+        "plan", parents=[precision], help="compute depth rules for a slack"
     )
+    _add_format(p_plan)
     p_plan.add_argument("--eps", required=True, help="slack, e.g. 1e-2 or 3/1000")
     p_plan.add_argument(
         "--rule", choices=("bf", "ps", "star", "all"), default="all"
     )
 
     p_verify = sub.add_parser(
-        "verify", parents=[common], help="run a certified verification suite"
+        "verify", parents=[precision], help="run a certified verification suite"
     )
+    _add_format(p_verify)
     p_verify.add_argument(
         "--suite", choices=("bounds", "logs", "ordering", "expansion"), required=True,
         help="bounds: phi under the four upper bounds and above the 1/e floor; "
@@ -137,8 +113,9 @@ def _build_parser() -> _Parser:
     )
 
     p_table = sub.add_parser(
-        "table", parents=[common], help="reproduce the savings table"
+        "table", parents=[precision], help="reproduce the savings table"
     )
+    _add_format(p_table, "csv")
     p_table.add_argument(
         "--eps", action="append", default=None,
         help="slack for one row; repeatable (default: the five reference slacks)",
@@ -149,13 +126,19 @@ def _build_parser() -> _Parser:
     )
 
     p_certify = sub.add_parser(
-        "certify", parents=[common], help="check one depth against one slack"
+        "certify", parents=[precision], help="check one depth against one slack"
     )
+    _add_format(p_certify)
     p_certify.add_argument("--ell", type=int, required=True)
     p_certify.add_argument("--eps", required=True)
 
     p_testbed = sub.add_parser(
-        "testbed", parents=[common], help="ground the targets on instances"
+        "testbed", parents=[precision], help="ground the targets on instances"
+    )
+    _add_format(p_testbed)
+    p_testbed.add_argument(
+        "--seed", type=int, default=None,
+        help="seed for --random (0 if not given), recorded in each report",
     )
     source = p_testbed.add_mutually_exclusive_group(required=True)
     source.add_argument("--instance", metavar="PATH", help="instance file")
@@ -171,18 +154,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    return RunConfig(
-        precision_start_bits=args.precision_start,
-        precision_cap_bits=args.precision_cap,
-        output_format=args.format,
-        seed=args.seed,
+def _add_format(subparser: argparse.ArgumentParser, *extra: str) -> None:
+    subparser.add_argument(
+        "--format", choices=("text", "structured", *extra), default="text",
+        help="output format (default %(default)s)",
     )
 
 
-def _require_text_or_structured(config: RunConfig) -> None:
-    if config.output_format == "csv":
-        raise ValueError("csv output applies to `table` only")
+def _policy_of(args) -> certified.RefinementPolicy:
+    """The precision ladder the command runs under, from its two options."""
+    start, cap = args.precision_start, args.precision_cap
+    if not 8 <= start <= cap <= 65536:
+        raise ValueError(
+            "need 8 <= precision start <= precision cap <= 65536, got "
+            f"start={start} cap={cap}"
+        )
+    return certified.RefinementPolicy(start_bits=start, cap_bits=cap)
 
 
 def _verdict_word(verdict: certified.Verdict) -> str:
@@ -193,17 +180,16 @@ def _verdict_word(verdict: certified.Verdict) -> str:
 # plan
 
 
-def _cmd_plan(args, config: RunConfig, out) -> int:
-    _require_text_or_structured(config)
+def _cmd_plan(args, policy: certified.RefinementPolicy, out) -> int:
     spec = planner.EpsSpec.parse(args.eps)
     if args.rule != "all":
         if args.rule == "bf":
             value = planner.ell_bf(spec)
         elif args.rule == "ps":
-            value = planner.ell_ps(spec, config.policy)
+            value = planner.ell_ps(spec, policy)
         else:
-            value = planner.ell_star(spec, config.policy)
-        if config.output_format == "structured":
+            value = planner.ell_star(spec, policy)
+        if args.format == "structured":
             print(
                 records.render_line(
                     "depth", {"eps": str(spec), "rule": args.rule, "ell": value}
@@ -214,8 +200,8 @@ def _cmd_plan(args, config: RunConfig, out) -> int:
             print(value, file=out)
         return EXIT_OK
 
-    result = planner.plan(spec, config.policy)
-    if config.output_format == "structured":
+    result = planner.plan(spec, policy)
+    if args.format == "structured":
         print(records.render_record(result), file=out)
         return EXIT_OK
     print(f"eps        = {spec}", file=out)
@@ -233,8 +219,8 @@ def _cmd_plan(args, config: RunConfig, out) -> int:
 # verify
 
 
-def _sweep_lines(report, config: RunConfig, out) -> None:
-    if config.output_format == "structured":
+def _sweep_lines(report, output_format: str, out) -> None:
+    if output_format == "structured":
         print(
             records.render_line(
                 "sweep",
@@ -280,31 +266,30 @@ def _parse_grid(text: str) -> list[Fraction]:
     return points
 
 
-def _cmd_verify(args, config: RunConfig, out) -> int:
-    _require_text_or_structured(config)
+def _cmd_verify(args, policy: certified.RefinementPolicy, out) -> int:
     if args.suite == "bounds":
         if args.lmax < 1:
             raise ValueError("--lmax must be at least 1")
         kinds = list(bounds.BoundKind)
-        reports = bounds.verify_bounds(kinds, 1, args.lmax, config.policy)
+        reports = bounds.verify_bounds(kinds, 1, args.lmax, policy)
         ordered = [reports[kind] for kind in kinds]
-        ordered.append(bounds.phi_floor_sweep(1, args.lmax, config.policy))
+        ordered.append(bounds.phi_floor_sweep(1, args.lmax, policy))
         for report in ordered:
-            _sweep_lines(report, config, out)
+            _sweep_lines(report, args.format, out)
         return _sweep_exit(ordered)
 
     if args.suite == "ordering":
         if args.lmax < 2:
             raise ValueError("--lmax must be at least 2 for the ordering chain")
-        reports = bounds.verify_bound_ordering(2, args.lmax, config.policy)
+        reports = bounds.verify_bound_ordering(2, args.lmax, policy)
         for report in reports.values():
-            _sweep_lines(report, config, out)
-        exception = bounds.ordering_exception_at_one(config.policy)
+            _sweep_lines(report, args.format, out)
+        exception = bounds.ordering_exception_at_one(policy)
         note = (
             "at ell = 1 the chain genuinely breaks: sharp > polya-szego "
             f"(certified {_verdict_word(exception.verdict)}, {exception.bits_used} bits)"
         )
-        if config.output_format == "structured":
+        if args.format == "structured":
             print(records.render_line("note", {"text": note}), file=out)
         else:
             print(f"note  {note}", file=out)
@@ -322,14 +307,14 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
             bad = []
             unres = []
             for point in points:
-                res = check(point, config.policy)
+                res = check(point, policy)
                 if res.verdict is certified.Verdict.UNRESOLVED:
                     unres.append(point)
                 elif not res.holds:
                     bad.append(point)
             failures += len(bad)
             unresolved += len(unres)
-            if config.output_format == "structured":
+            if args.format == "structured":
                 print(
                     records.render_line(
                         "log-check",
@@ -358,7 +343,7 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
             f"--lmax below {_EXPANSION_ELLS[0]}; nothing to check for expansion"
         )
     report = bounds.check_expansion_agreement(ells)
-    if config.output_format == "structured":
+    if args.format == "structured":
         for entry in report.entries:
             print(
                 records.render_line(
@@ -383,24 +368,26 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
 # table
 
 
-def _cmd_table(args, config: RunConfig, out) -> int:
+def _cmd_table(args, policy: certified.RefinementPolicy, out) -> int:
     specs = None
     if args.eps is not None:
         specs = [planner.EpsSpec.parse(text) for text in args.eps]
-    rows = costs.reproduce_table(specs, config.policy)
+    rows = costs.reproduce_table(specs, policy)
+    # before any output: a row at a slack the check has no values for is a
+    # usage error, and stdout stays empty
+    result = costs.check_against_expected(rows) if args.check else None
 
-    if config.output_format == "structured":
+    if args.format == "structured":
         for row in rows:
             print(records.render_record(row), file=out)
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         out.write(costs.render_table_csv(rows))
     else:
         out.write(costs.render_table_text(rows))
 
-    if not args.check:
+    if result is None:
         return EXIT_OK
-    result = costs.check_against_expected(rows)
-    if config.output_format == "structured":
+    if args.format == "structured":
         # each mismatch as its row, column, expected and got fields
         line = {"ok": result.ok, "mismatches": [vars(m) for m in result.mismatches]}
         print(records.render_line("table-check", line), file=out)
@@ -409,7 +396,7 @@ def _cmd_table(args, config: RunConfig, out) -> int:
             f"check: all {len(rows)} rows match the embedded values"
         ]
         # csv stdout holds the header and the rows alone
-        print(*lines, sep="\n", file=sys.stderr if config.output_format == "csv" else out)
+        print(*lines, sep="\n", file=sys.stderr if args.format == "csv" else out)
     return EXIT_OK if result.ok else EXIT_FAILURE
 
 
@@ -417,14 +404,13 @@ def _cmd_table(args, config: RunConfig, out) -> int:
 # certify
 
 
-def _cmd_certify(args, config: RunConfig, out) -> int:
-    _require_text_or_structured(config)
+def _cmd_certify(args, policy: certified.RefinementPolicy, out) -> int:
     if args.ell < 1:
         raise ValueError("--ell must be at least 1")
     spec = planner.EpsSpec.parse(args.eps)
-    holds = planner.certificate_sharp(args.ell, spec, config.policy)
-    direct = planner.depth_comparison(args.ell, spec, config.policy)
-    if config.output_format == "structured":
+    holds = planner.certificate_sharp(args.ell, spec, policy)
+    direct = planner.depth_comparison(args.ell, spec, policy)
+    if args.format == "structured":
         print(
             records.render_line(
                 "certify",
@@ -464,27 +450,24 @@ def _cmd_certify(args, config: RunConfig, out) -> int:
 # testbed
 
 
-def _named_instances(
-    args, config: RunConfig
-) -> list[tuple[str, testbed.CoverageInstance]]:
+def _named_instances(args) -> list[tuple[str, testbed.CoverageInstance]]:
     if args.instance is not None:
         return [(args.instance, testbed.load_instance(args.instance))]
     if args.bundled is not None:
         return [(args.bundled, testbed.bundled_instance(args.bundled))]
     if args.random < 1:
         raise ValueError("--random needs a positive count")
-    rng = random.Random(config.seed if config.seed is not None else 0)
+    rng = random.Random(args.seed if args.seed is not None else 0)
     return [
         (f"random-{i}", testbed.generate_random_instance(rng))
         for i in range(args.random)
     ]
 
 
-def _cmd_testbed(args, config: RunConfig, out) -> int:
-    _require_text_or_structured(config)
+def _cmd_testbed(args, policy: certified.RefinementPolicy, out) -> int:
     spec = planner.EpsSpec.parse(args.eps)
-    instances = _named_instances(args, config)
-    structured = config.output_format == "structured"
+    instances = _named_instances(args)
+    structured = args.format == "structured"
     worst = EXIT_OK
     for label, instance in instances:
         if not structured:
@@ -524,7 +507,7 @@ def _cmd_testbed(args, config: RunConfig, out) -> int:
             )
 
         report = testbed.ratio_report(
-            instance, spec, seed=config.seed, policy=config.policy
+            instance, spec, seed=args.seed, policy=policy
         )
         if structured:
             print(records.render_record(report), file=out)
@@ -595,8 +578,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
-        code = _COMMANDS[args.command](args, config, out)
+        code = _COMMANDS[args.command](args, _policy_of(args), out)
         # a reader that has gone shows up here, not at the exit-time flush
         out.flush()
         return code

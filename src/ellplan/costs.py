@@ -221,13 +221,19 @@ def check_against_expected(
 
     Integer columns must match exactly; factor renderings may differ by one
     step of the final digit (the embedded values come from a source whose
-    rounding convention is unstated).
+    rounding convention is unstated).  Rows pair with expectations by
+    position, so each row must be at its expectation's slack; a row that is
+    not raises ValueError, as a wrong row count does.
     """
     if len(rows) != len(expected):
         raise ValueError(f"{len(rows)} rows against {len(expected)} expectations")
     bad: list[CellMismatch] = []
     for row, want in zip(rows, expected):
         label = format_eps(row.eps)
+        if row.eps.eps != Fraction(want.eps_text):
+            raise ValueError(
+                f"row {label} is not at the expected slack {want.eps_text}"
+            )
         for column, got, exp in (
             ("ell_bf", row.ell_bf, want.ell_bf),
             ("ell_ps", row.ell_ps, want.ell_ps),

@@ -273,7 +273,7 @@ def parse_record(line: str):
     """Inverse of render_record; raises RecordError on anything unfamiliar."""
     try:
         doc = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit cap
         raise RecordError(f"not a record line: {exc}") from exc
     if not isinstance(doc, dict):
         raise RecordError("record line must be an object")

@@ -13,11 +13,13 @@ from ellplan.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
-    RunConfig,
+    _build_parser,
     _parse_grid,
+    _policy_of,
     main,
 )
 from ellplan import costs
+from ellplan.certified import RefinementPolicy
 from ellplan.costs import EXPECTED_TABLE, ExpectedRow
 from ellplan.planner import EllPlan
 from ellplan.records import (
@@ -37,24 +39,42 @@ def run(*argv):
     return code, out.getvalue()
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        config = RunConfig()
-        assert config.policy.start_bits == 32
-        assert config.policy.cap_bits == 4096
+# a small valid argv of each subcommand
+_MINIMAL_ARGV = {
+    "plan": ["plan", "--eps", "1e-2", "--rule", "bf"],
+    "verify": ["verify", "--suite", "bounds", "--lmax", "2"],
+    "table": ["table", "--eps", "1e-1"],
+    "certify": ["certify", "--ell", "2", "--eps", "0.2"],
+    "testbed": ["testbed", "--bundled", "three_cover"],
+}
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"precision_start_bits": 4},
-            {"precision_start_bits": 64, "precision_cap_bits": 32},
-            {"precision_cap_bits": 2**17},
-            {"output_format": "yaml"},
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            RunConfig(**kwargs)
+
+class TestOptionsPerSubcommand:
+    @pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+    def test_seed_only_on_testbed(self, command, capsys):
+        argv = [*_MINIMAL_ARGV[command], "--seed", "1"]
+        out = StringIO()
+        if command == "testbed":
+            assert main(argv, out) == EXIT_OK
+            return
+        with pytest.raises(SystemExit) as err:
+            main(argv, out)
+        assert err.value.code == EXIT_USAGE
+        assert out.getvalue() == ""
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+    def test_csv_only_on_table(self, command, capsys):
+        argv = [*_MINIMAL_ARGV[command], "--format", "csv"]
+        out = StringIO()
+        if command == "table":
+            assert main(argv, out) == EXIT_OK
+            return
+        with pytest.raises(SystemExit) as err:
+            main(argv, out)
+        assert err.value.code == EXIT_USAGE
+        assert out.getvalue() == ""
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 class TestPlanCommand:
@@ -100,7 +120,9 @@ class TestPlanCommand:
         assert run("plan", "--eps", "abc")[0] == EXIT_USAGE
 
     def test_csv_not_available(self):
-        assert run("plan", "--eps", "1e-2", "--format", "csv")[0] == EXIT_USAGE
+        with pytest.raises(SystemExit) as err:
+            main(["plan", "--eps", "1e-2", "--format", "csv"])
+        assert err.value.code == EXIT_USAGE
 
     def test_precision_cap_reached_is_exit_two(self):
         code, _ = run(
@@ -223,8 +245,30 @@ class TestTableCommand:
         assert code == EXIT_OK
         assert "100001" in text and "18394" in text
 
-    def test_check_with_wrong_row_count_is_usage_error(self):
-        assert run("table", "--eps", "1e-5", "--check")[0] == EXIT_USAGE
+    def test_check_with_wrong_row_count_is_usage_error(self, capsys):
+        for output_format in ("text", "csv", "structured"):
+            argv = ("table", "--eps", "1e-5", "--check", "--format", output_format)
+            assert run(*argv) == (EXIT_USAGE, "")
+            assert capsys.readouterr().err == "error: 1 rows against 5 expectations\n"
+
+    @pytest.mark.parametrize("output_format", ["text", "csv", "structured"])
+    def test_check_at_other_slacks_is_usage_error(self, output_format, capsys):
+        # five rows, but the last is not at the last reference slack: its
+        # cells are not compared with that slack's values
+        slacks = ["1e-1", "5e-2", "1e-2", "1e-3", "1e-5"]
+        argv = [arg for eps in slacks for arg in ("--eps", eps)]
+        code, text = run("table", *argv, "--check", "--format", output_format)
+        assert (code, text) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            "error: row 1e-5 is not at the expected slack 1e-4\n"
+        )
+
+    def test_check_accepts_the_reference_slacks_spelled_otherwise(self):
+        slacks = ["0.1", "1/20", "0.01", "1e-3", "0.0001"]
+        argv = [arg for eps in slacks for arg in ("--eps", eps)]
+        code, text = run("table", *argv, "--check")
+        assert code == EXIT_OK
+        assert text.endswith("check: all 5 rows match the embedded values\n")
 
     def test_structured_rows_round_trip(self):
         code, text = run("table", "--format", "structured")
@@ -481,8 +525,24 @@ class TestUsageErrors:
             main([])
         assert err.value.code == EXIT_USAGE
 
-    def test_bad_precision_window(self):
-        assert run("plan", "--eps", "1e-2", "--precision-start", "4")[0] == EXIT_USAGE
+    def test_bad_precision_window(self, capsys):
+        for window in (
+            ["--precision-start", "4"],
+            ["--precision-start", "64", "--precision-cap", "32"],
+            ["--precision-cap", str(2**17)],
+        ):
+            assert run("plan", "--eps", "1e-2", *window) == (EXIT_USAGE, "")
+            err = capsys.readouterr().err
+            assert err.startswith("error: need 8 <= precision start <= precision cap")
+
+    def test_default_precision_window(self):
+        args = _build_parser().parse_args(["plan", "--eps", "1e-2"])
+        assert _policy_of(args) == RefinementPolicy(start_bits=32, cap_bits=4096)
+
+    def test_unknown_format(self):
+        with pytest.raises(SystemExit) as err:
+            main(["plan", "--eps", "1e-2", "--format", "yaml"])
+        assert err.value.code == EXIT_USAGE
 
 
 class _GoneReader:

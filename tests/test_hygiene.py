@@ -1,14 +1,17 @@
 """Source hygiene that a linter would check: unused imports, unused private
-module-level names and the exports.
+module-level names, the exports and CLI options that no command reads.
 
-The checks read the source with ``ast``; none imports the scanned files nor
-starts a process.
+The source checks read the files with ``ast`` and import none of them; the
+option check runs each CLI command in-process.  None starts a process.
 """
 
+import argparse
 import ast
+import io
 from pathlib import Path
 
 import ellplan
+from ellplan import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ellplan"
@@ -132,3 +135,51 @@ def test_all_matches_the_package_imports():
     assert len(ellplan.__all__) == len(set(ellplan.__all__))
     for name in ellplan.__all__:
         assert getattr(ellplan, name, None) is not None, name
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Parsed settings that note in ``_reads`` the name of each one read."""
+
+    def __init__(self, settings: dict):
+        super().__init__(**settings)
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# together these take every branch that reads an option: each --rule, each
+# --suite, --check, each testbed source
+_BRANCH_ARGVS = [
+    *(["plan", "--eps", "1e-2", "--rule", rule] for rule in ("bf", "ps", "star", "all")),
+    ["verify", "--suite", "bounds", "--lmax", "5"],
+    ["verify", "--suite", "logs", "--grid", "0:1:1/2"],
+    ["verify", "--suite", "ordering", "--lmax", "5"],
+    ["verify", "--suite", "expansion"],
+    ["table", "--eps", "1e-1"],
+    ["table", "--check"],
+    ["certify", "--ell", "19", "--eps", "1e-2"],
+    ["testbed", "--bundled", "three_cover"],
+    ["testbed", "--instance", str(PACKAGE / "data" / "greedy_gap.json")],
+    ["testbed", "--random", "1", "--seed", "3"],
+]
+
+
+def test_every_option_is_read_by_its_command():
+    """A subcommand defines only options its command reads: each command
+    runs as ``main`` runs it, the policy built from its namespace first."""
+    parser = cli._build_parser()
+    defined, read = {}, {}
+    for argv in _BRANCH_ARGVS:
+        args = vars(parser.parse_args(argv))
+        command = args.pop("command")
+        settings = _ReadRecorder(args)
+        code = cli._COMMANDS[command](settings, cli._policy_of(settings), io.StringIO())
+        assert code == cli.EXIT_OK, argv
+        defined[command] = set(args)
+        read.setdefault(command, set()).update(settings._reads)
+    assert set(defined) == set(cli._COMMANDS)
+    unread = {c: sorted(defined[c] - read[c]) for c in defined if defined[c] - read[c]}
+    assert not unread, f"options no command reads: {unread}"

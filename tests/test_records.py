@@ -139,6 +139,23 @@ class TestErrors:
         with pytest.raises(RecordError, match="must be an object"):
             parse_record("[1]")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="Python 3.10 has no digit cap"
+    )
+    def test_int_past_the_digit_cap(self, sample_plan):
+        # json.loads raises a plain ValueError, not JSONDecodeError, for an
+        # integer literal longer than Python's cap on int-from-str digits
+        doc = render_record(sample_plan)
+        line = doc.replace('"ell_bf":101', '"ell_bf":' + "1" * 5000)
+        assert line != doc
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(RecordError, match="not a record"):
+                parse_record(line)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_wrong_schema(self, sample_plan):
         doc = json.loads(render_record(sample_plan))
         doc["schema"] = 999

@@ -28,7 +28,6 @@ from ellplan.certified import (
     enclose_e,
     inv_e,
 )
-from ellplan.cli import RunConfig
 from ellplan.costs import (
     EXPECTED_TABLE,
     CellMismatch,
@@ -84,7 +83,6 @@ def _examples() -> list:
         check,
         ratio_report(greedy_gap, "1e-1", seed=11),
         InstanceCheck.from_check("greedy_gap", check),
-        RunConfig(32, 4096, "structured", 7),
     ]
 
 
@@ -197,7 +195,6 @@ def test_post_init_rejections_after_any_binding():
         lambda: Enclosure(lo=2, hi=1),
         lambda: RefinementPolicy(64, 32),
         lambda: RefinementPolicy(start_bits=0),
-        lambda: RunConfig(precision_start_bits=4),
     ):
         assert isinstance(_error(call), ValueError)
 
