@@ -39,6 +39,28 @@ def run(*argv):
     return code, out.getvalue()
 
 
+class TestRunConfig:
+    """The run's settings as main resolves them from the precision options."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"precision_start_bits": 4},
+            {"precision_start_bits": 64, "precision_cap_bits": 32},
+            {"precision_cap_bits": 2**17},
+        ],
+    )
+    def test_invalid(self, kwargs, capsys):
+        flags = {
+            "precision_start_bits": "--precision-start",
+            "precision_cap_bits": "--precision-cap",
+        }
+        window = [arg for key, bits in kwargs.items() for arg in (flags[key], str(bits))]
+        assert run("plan", "--eps", "1e-2", *window) == (EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: need 8 <= precision start <= precision cap")
+
+
 # a small valid argv of each subcommand
 _MINIMAL_ARGV = {
     "plan": ["plan", "--eps", "1e-2", "--rule", "bf"],
@@ -525,15 +547,8 @@ class TestUsageErrors:
             main([])
         assert err.value.code == EXIT_USAGE
 
-    def test_bad_precision_window(self, capsys):
-        for window in (
-            ["--precision-start", "4"],
-            ["--precision-start", "64", "--precision-cap", "32"],
-            ["--precision-cap", str(2**17)],
-        ):
-            assert run("plan", "--eps", "1e-2", *window) == (EXIT_USAGE, "")
-            err = capsys.readouterr().err
-            assert err.startswith("error: need 8 <= precision start <= precision cap")
+    def test_bad_precision_window(self):
+        assert run("plan", "--eps", "1e-2", "--precision-start", "4")[0] == EXIT_USAGE
 
     def test_default_precision_window(self):
         args = _build_parser().parse_args(["plan", "--eps", "1e-2"])
