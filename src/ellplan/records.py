@@ -1,16 +1,24 @@
 """Line-delimited structured records with a versioned schema.
 
 One object per line, every line self-describing: a schema version, a kind
-tag, then the payload.  Rationals travel as exact "num/den" text so parsing
-recovers the original values bit for bit; parse(render(x)) == x holds for
-every supported type.
+tag, then the payload.  ``_KINDS`` declares each kind's payload once: the
+fields of its value class, in order, each with a codec, a (render, parse)
+pair for one wire type.  Rendering and parsing are one loop over that
+table, and parse(render(x)) == x for every kind.  Parsing raises
+``RecordError`` on anything unfamiliar: every field's JSON type is checked
+(``true`` is not an int); rationals parse only as the exact "num/den" text
+``str(Fraction)`` writes, so exponent text such as ``1e-9`` is refused
+before any arithmetic; a missing or unknown field is refused by name; and a
+value its class refuses, such as ``eps <= 0``, is refused at its path.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+import re
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 # modules, not names: a module runs at its first use here (see ellplan),
 # and a function replaced in its defining module is the one called
@@ -56,201 +64,149 @@ class InstanceCheck(Frozen):
         )
 
 
-def _fraction_text(value: Fraction) -> str:
-    return str(value)
+def _same(value):
+    return value
 
 
-def _fraction_from(text, path: str) -> Fraction:
-    if not isinstance(text, str):
-        raise RecordError(f"{path}: expected rational text")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise RecordError(f"{path}: bad rational {text!r}") from exc
+def _exactly(wire_type: type):
+    """Codec of a JSON scalar of exactly this type: true is not an int."""
+
+    def parse(value, path: str):
+        if type(value) is not wire_type:
+            raise RecordError(
+                f"{path}: expected {wire_type.__name__}, got {type(value).__name__}"
+            )
+        return value
+
+    return _same, parse
 
 
-def _enclosure_payload(enc: certified.Enclosure) -> dict:
-    return {"lo": _fraction_text(enc.lo), "hi": _fraction_text(enc.hi)}
-
-
-def _enclosure_from(obj, path: str) -> certified.Enclosure:
-    if not isinstance(obj, dict) or set(obj) != {"lo", "hi"}:
-        raise RecordError(f"{path}: expected lo/hi rational pair")
-    return certified.Enclosure(
-        _fraction_from(obj["lo"], f"{path}.lo"),
-        _fraction_from(obj["hi"], f"{path}.hi"),
+def _optional(codec):
+    render, parse = codec
+    return (
+        lambda value: None if value is None else render(value),
+        lambda value, path: None if value is None else parse(value, path),
     )
 
 
-def _magnitude_payload(mag: costs.BigMagnitude) -> dict:
+# the form str(Fraction) writes, with no zero denominator; [0-9], since \d
+# would admit other scripts' digits
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def _parse_rational(text, path: str) -> Fraction:
+    if type(text) is not str or not _RATIONAL_TEXT.fullmatch(text):
+        raise RecordError(f"{path}: expected rational text num/den")
+    return Fraction(text)
+
+
+def _parse_names(names, path: str) -> tuple[str, ...]:
+    if type(names) is not list or not all(type(n) is str for n in names):
+        raise RecordError(f"{path}: expected a list of names")
+    return tuple(names)
+
+
+def _parse_fields(obj, path: str, fields: dict) -> dict:
+    """Each declared field of a JSON object, parsed by its codec.
+
+    The object's keys must be exactly the declared ones.  A value that a
+    value class refuses with ValueError becomes a RecordError at its path.
+    """
+    where = f"{path}: " if path else ""
+    if type(obj) is not dict:
+        raise RecordError(f"{where}expected an object")
+    for name in fields:
+        if name not in obj:
+            raise RecordError(f"{where}record missing field {name!r}")
+    unknown = obj.keys() - fields.keys()
+    if unknown:
+        raise RecordError(f"{where}unknown field(s) {sorted(unknown)}")
+    values = {}
+    for name, (_, parse) in fields.items():
+        at = f"{path}.{name}" if path else name
+        try:
+            values[name] = parse(obj[name], at)
+        except RecordError:
+            raise
+        except ValueError as exc:
+            raise RecordError(f"{at}: {exc}") from exc
+    return values
+
+
+def _render_fields(fields: dict, parts) -> dict:
+    """Each declared field's wire form; ``parts`` are the values, in order."""
     return {
-        "pow2": mag.pow2,
-        "mantissa": mag.sci_mantissa,
-        "exponent": mag.sci_exponent,
+        name: render(part) for (name, (render, _)), part in zip(fields.items(), parts)
     }
 
 
-def _magnitude_from(obj, path: str) -> costs.BigMagnitude:
-    if not isinstance(obj, dict) or set(obj) != {"pow2", "mantissa", "exponent"}:
-        raise RecordError(f"{path}: expected pow2/mantissa/exponent")
-    try:
-        mag = costs.BigMagnitude(obj["pow2"])
-    except ValueError as exc:
-        raise RecordError(f"{path}.pow2: {exc}") from exc
-    if (obj["mantissa"], obj["exponent"]) != (mag.sci_mantissa, mag.sci_exponent):
-        raise RecordError(f"{path}: 2^pow2 renders as {mag.sci}")
+def _object(fields: dict, build, parts):
+    """Codec of a nested JSON object: ``parts(value)`` gives the field values
+    in declared order, and ``build`` takes them back."""
+    return (
+        lambda value: _render_fields(fields, parts(value)),
+        lambda obj, path: build(*_parse_fields(obj, path, fields).values()),
+    )
+
+
+def _magnitude(pow2: int, mantissa: str, exponent: int) -> costs.BigMagnitude:
+    mag = costs.BigMagnitude(pow2)
+    if (mantissa, exponent) != (mag.sci_mantissa, mag.sci_exponent):
+        raise ValueError(f"2^pow2 renders as {mag.sci}")
     return mag
 
 
-def _plan_payload(plan: planner.EllPlan) -> dict:
-    return {
-        "eps": str(plan.eps),
-        "ell_bf": plan.ell_bf,
-        "ell_ps": plan.ell_ps,
-        "ell_star": plan.ell_star,
-        "rho_star": _fraction_text(plan.rho_star),
-        "certificate_holds_at_star": plan.certificate_holds_at_star,
-        "precision_used": plan.precision_used,
-    }
+_INT = _exactly(int)
+_BOOL = _exactly(bool)
+_STR = _exactly(str)
+_RATIONAL = (str, _parse_rational)
+_EPS = (str, lambda text, path: planner.EpsSpec(_parse_rational(text, path)))
+_NAMES = (list, _parse_names)
+_ENCLOSURE = _object(
+    {"lo": _RATIONAL, "hi": _RATIONAL},
+    lambda lo, hi: certified.Enclosure(lo, hi),
+    lambda enc: (enc.lo, enc.hi),
+)
+_MAGNITUDE = _object(
+    {"pow2": _INT, "mantissa": _STR, "exponent": _INT},
+    _magnitude,
+    lambda mag: (mag.pow2, mag.sci_mantissa, mag.sci_exponent),
+)
+# a witness is a tuple of its parts, in the order of their fields
+_MONOTONE_WITNESS = _optional(
+    _object({"s": _NAMES, "t": _NAMES}, lambda *parts: parts, _same)
+)
+_SUBMODULAR_WITNESS = _optional(
+    _object({"s": _NAMES, "t": _NAMES, "x": _STR}, lambda *parts: parts, _same)
+)
 
-
-def _plan_from(payload: dict) -> planner.EllPlan:
-    return planner.EllPlan(
-        eps=planner.EpsSpec.parse(payload["eps"]),
-        ell_bf=payload["ell_bf"],
-        ell_ps=payload["ell_ps"],
-        ell_star=payload["ell_star"],
-        rho_star=_fraction_from(payload["rho_star"], "rho_star"),
-        certificate_holds_at_star=payload["certificate_holds_at_star"],
-        precision_used=payload["precision_used"],
-    )
-
-
-def _table_row_payload(row: costs.TableRow) -> dict:
-    return {
-        "eps": str(row.eps),
-        "ell_bf": row.ell_bf,
-        "ell_ps": row.ell_ps,
-        "ell_star": row.ell_star,
-        "factor_ps": _magnitude_payload(row.factor_ps),
-        "factor_star": _magnitude_payload(row.factor_star),
-    }
-
-
-def _table_row_from(payload: dict) -> costs.TableRow:
-    return costs.TableRow(
-        eps=planner.EpsSpec.parse(payload["eps"]),
-        ell_bf=payload["ell_bf"],
-        ell_ps=payload["ell_ps"],
-        ell_star=payload["ell_star"],
-        factor_ps=_magnitude_from(payload["factor_ps"], "factor_ps"),
-        factor_star=_magnitude_from(payload["factor_star"], "factor_star"),
-    )
-
-
-def _ratio_report_payload(report: testbed.RatioReport) -> dict:
-    return {
-        "eps": str(report.eps),
-        "ell_star": report.ell_star,
-        "rho_star": _fraction_text(report.rho_star),
-        "rho_certified": report.rho_certified,
-        "threshold": _enclosure_payload(report.threshold),
-        "f_opt": _fraction_text(report.f_opt),
-        "opt_set": list(report.opt_set),
-        "target_value": _fraction_text(report.target_value),
-        "greedy_value": _fraction_text(report.greedy_value),
-        "greedy_set": list(report.greedy_set),
-        "empirical_ratio": _fraction_text(report.empirical_ratio),
-        "oracle_calls_brute": report.oracle_calls_brute,
-        "oracle_calls_greedy": report.oracle_calls_greedy,
-        "algorithm_output": report.algorithm_output,
-        "seed": report.seed,
-    }
-
-
-def _ratio_report_from(payload: dict) -> testbed.RatioReport:
-    return testbed.RatioReport(
-        eps=planner.EpsSpec.parse(payload["eps"]),
-        ell_star=payload["ell_star"],
-        rho_star=_fraction_from(payload["rho_star"], "rho_star"),
-        rho_certified=payload["rho_certified"],
-        threshold=_enclosure_from(payload["threshold"], "threshold"),
-        f_opt=_fraction_from(payload["f_opt"], "f_opt"),
-        opt_set=tuple(payload["opt_set"]),
-        target_value=_fraction_from(payload["target_value"], "target_value"),
-        greedy_value=_fraction_from(payload["greedy_value"], "greedy_value"),
-        greedy_set=tuple(payload["greedy_set"]),
-        empirical_ratio=_fraction_from(payload["empirical_ratio"], "empirical_ratio"),
-        oracle_calls_brute=payload["oracle_calls_brute"],
-        oracle_calls_greedy=payload["oracle_calls_greedy"],
-        algorithm_output=payload["algorithm_output"],
-        seed=payload["seed"],
-    )
-
-
-def _name_tuple(obj, path: str) -> tuple[str, ...]:
-    if not isinstance(obj, list) or not all(isinstance(n, str) for n in obj):
-        raise RecordError(f"{path}: expected a list of names")
-    return tuple(obj)
-
-
-def _check_payload(check: InstanceCheck) -> dict:
-    mono = check.monotone_witness
-    sub = check.submodular_witness
-    return {
-        "instance": check.instance,
-        "ok": check.ok,
-        "monotone_witness": (
-            None if mono is None else {"s": list(mono[0]), "t": list(mono[1])}
-        ),
-        "submodular_witness": (
-            None
-            if sub is None
-            else {"s": list(sub[0]), "t": list(sub[1]), "x": sub[2]}
-        ),
-    }
-
-
-def _check_from(payload: dict) -> InstanceCheck:
-    mono = payload["monotone_witness"]
-    if mono is not None:
-        if not isinstance(mono, dict) or set(mono) != {"s", "t"}:
-            raise RecordError("monotone_witness: expected s/t name lists")
-        mono = (
-            _name_tuple(mono["s"], "monotone_witness.s"),
-            _name_tuple(mono["t"], "monotone_witness.t"),
-        )
-    sub = payload["submodular_witness"]
-    if sub is not None:
-        if not isinstance(sub, dict) or set(sub) != {"s", "t", "x"}:
-            raise RecordError("submodular_witness: expected s/t/x")
-        sub = (
-            _name_tuple(sub["s"], "submodular_witness.s"),
-            _name_tuple(sub["t"], "submodular_witness.t"),
-            sub["x"],
-        )
-    return InstanceCheck(
-        instance=payload["instance"],
-        ok=payload["ok"],
-        monotone_witness=mono,
-        submodular_witness=sub,
-    )
-
-
-# keyed by (module, class name), so building it loads no value class
-_KIND_OF_TYPE = {
-    ("ellplan.planner", "EllPlan"): ("plan", _plan_payload),
-    ("ellplan.costs", "TableRow"): ("table-row", _table_row_payload),
-    ("ellplan.testbed", "RatioReport"): ("ratio-report", _ratio_report_payload),
-    (__name__, "InstanceCheck"): ("property-check", _check_payload),
+# kind -> (defining module, class name, {field: codec}), the fields in the
+# class's order; keyed by names, so building it loads no value class
+_KINDS = {
+    "plan": ("ellplan.planner", "EllPlan", {
+        "eps": _EPS, "ell_bf": _INT, "ell_ps": _INT, "ell_star": _INT,
+        "rho_star": _RATIONAL, "certificate_holds_at_star": _BOOL,
+        "precision_used": _INT,
+    }),
+    "table-row": ("ellplan.costs", "TableRow", {
+        "eps": _EPS, "ell_bf": _INT, "ell_ps": _INT, "ell_star": _INT,
+        "factor_ps": _MAGNITUDE, "factor_star": _MAGNITUDE,
+    }),
+    "ratio-report": ("ellplan.testbed", "RatioReport", {
+        "eps": _EPS, "ell_star": _INT, "rho_star": _RATIONAL, "rho_certified": _BOOL,
+        "threshold": _ENCLOSURE, "f_opt": _RATIONAL, "opt_set": _NAMES,
+        "target_value": _RATIONAL, "greedy_value": _RATIONAL, "greedy_set": _NAMES,
+        "empirical_ratio": _RATIONAL, "oracle_calls_brute": _INT,
+        "oracle_calls_greedy": _INT, "algorithm_output": _STR,
+        "seed": _optional(_INT),
+    }),
+    "property-check": (__name__, "InstanceCheck", {
+        "instance": _STR, "ok": _BOOL, "monotone_witness": _MONOTONE_WITNESS,
+        "submodular_witness": _SUBMODULAR_WITNESS,
+    }),
 }
 
-_PARSER_OF_KIND: dict[str, Callable[[dict], object]] = {
-    "plan": _plan_from,
-    "table-row": _table_row_from,
-    "ratio-report": _ratio_report_from,
-    "property-check": _check_from,
-}
+_KIND_OF_CLASS = {(module, name): kind for kind, (module, name, _) in _KINDS.items()}
 
 
 def render_line(kind: str, payload: dict) -> str:
@@ -262,11 +218,11 @@ def render_line(kind: str, payload: dict) -> str:
 def render_record(obj) -> str:
     """Render a plan, table row, ratio report or instance check as one line."""
     cls = type(obj)
-    entry = _KIND_OF_TYPE.get((cls.__module__, cls.__qualname__))
-    if entry is None:
+    kind = _KIND_OF_CLASS.get((cls.__module__, cls.__qualname__))
+    if kind is None:
         raise RecordError(f"no record form for {cls.__name__}")
-    kind, payload_of = entry
-    return render_line(kind, payload_of(obj))
+    fields = _KINDS[kind][2]
+    return render_line(kind, _render_fields(fields, (getattr(obj, f) for f in fields)))
 
 
 def parse_record(line: str):
@@ -277,17 +233,16 @@ def parse_record(line: str):
         raise RecordError(f"not a record line: {exc}") from exc
     if not isinstance(doc, dict):
         raise RecordError("record line must be an object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise RecordError(f"unsupported schema {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise RecordError(f"unsupported schema {schema!r}")
     kind = doc.get("kind")
-    parser = _PARSER_OF_KIND.get(kind)
-    if parser is None:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise RecordError(f"unknown record kind {kind!r}")
+    module, name, fields = _KINDS[kind]
     payload = {k: v for k, v in doc.items() if k not in ("schema", "kind")}
-    try:
-        return parser(payload)
-    except KeyError as exc:
-        raise RecordError(f"record missing field {exc.args[0]!r}") from exc
+    values = _parse_fields(payload, "", fields)
+    return getattr(importlib.import_module(module), name)(**values)
 
 
 def parse_records(text: str) -> list:

@@ -678,7 +678,9 @@ def parse_instance(text: str) -> CoverageInstance:
         raw = json.loads(
             text, parse_float=Fraction, object_pairs_hook=_reject_duplicates
         )
-    except json.JSONDecodeError as exc:
+    except InstanceFormatError:
+        raise
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit cap
         raise InstanceFormatError(f"not valid instance text: {exc}") from exc
     if not isinstance(raw, dict):
         raise InstanceFormatError("top level must be an object")
@@ -712,13 +714,21 @@ def parse_instance(text: str) -> CoverageInstance:
         _require_keys(m, "matroid", {"type", "blocks"})
         if not isinstance(m["blocks"], list) or not m["blocks"]:
             raise InstanceFormatError("matroid.blocks: expected a non-empty list")
-        blocks = []
+        blocks, seen = [], set()
         for i, entry in enumerate(m["blocks"]):
             path = f"matroid.blocks[{i}]"
             if not isinstance(entry, dict):
                 raise InstanceFormatError(f"{path}: expected an object")
             _require_keys(entry, path, {"members", "capacity"})
             members = _as_name_list(entry["members"], f"{path}.members")
+            if not members:
+                raise InstanceFormatError(f"{path}.members: expected a non-empty list")
+            shared = seen.intersection(members)
+            if shared:
+                raise InstanceFormatError(
+                    f"{path}: overlaps an earlier block on {sorted(shared)}"
+                )
+            seen.update(members)
             cap = entry["capacity"]
             if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
                 raise InstanceFormatError(

@@ -249,6 +249,19 @@ class TestAsymptoticResidual:
             )
         assert asymptotic_residual(eps).contains(oracle)
 
+    @pytest.mark.parametrize("text", ["1e-60", "1e-300"])
+    def test_deep_slack_stays_narrow(self, text):
+        # 1/(2 e eps) magnifies the width of e by about 1/eps; at a fixed
+        # 128 bits the enclosure was 2^62.5 wide at 1e-60
+        enc = asymptotic_residual(EpsSpec.parse(text))
+        with mp.workdps(700):
+            oracle = mpf_to_fraction(
+                ell_star(text) - (1 / (2 * mp.e * mp.mpf(text)) - mp.mpf(5) / 12)
+            )
+        assert enc.contains(oracle)
+        assert enc.width < Fraction(1, 2**100)
+        assert Fraction(-1, 2) <= enc.lo and enc.hi <= Fraction(3, 2)
+
     def test_requires_small_eps(self):
         with pytest.raises(ValueError):
             asymptotic_residual(Fraction(1, 5))

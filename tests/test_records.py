@@ -1,5 +1,7 @@
+import importlib
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from ellplan.costs import reproduce_table
 from ellplan.planner import plan
 from ellplan.records import (
+    _KINDS,
     SCHEMA_VERSION,
     InstanceCheck,
     RecordError,
@@ -210,3 +213,119 @@ class TestErrors:
         doc["monotone_witness"] = {"s": ["a"], "t": [3]}
         with pytest.raises(RecordError, match="list of names"):
             parse_record(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_declared_fields_are_the_class_fields(kind):
+    # a field added to the class without a codec fails here, rather than
+    # dropping out of the record or failing at parse time
+    module, name, fields = _KINDS[kind]
+    cls = getattr(importlib.import_module(module), name)
+    assert list(fields) == list(cls._fields)
+
+
+@pytest.fixture(scope="module")
+def sample_lines(sample_plan, sample_rows, sample_report):
+    check = InstanceCheck("bad-case", False, (("a",), ("a", "b")), ((), ("e1",), "e2"))
+    assert sample_report.seed is not None
+    lines = [render_record(obj) for obj in (sample_plan, sample_rows[1], sample_report, check)]
+    return {json.loads(line)["kind"]: line for line in lines}
+
+
+def _fields_of(doc: dict, path: tuple = ()):
+    """(path, value) of every payload field of a record, nested ones too."""
+    for name, value in doc.items():
+        if path or name not in ("schema", "kind"):
+            yield path + (name,), value
+            if isinstance(value, dict):
+                yield from _fields_of(value, path + (name,))
+
+
+def _with(line: str, path: tuple, value) -> str:
+    doc = json.loads(line)
+    parent = doc
+    for name in path[:-1]:
+        parent = parent[name]
+    parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+_WRONG = (None, True, 5, 1.5, "x", [], {})
+_OPTIONAL = {("seed",), ("monotone_witness",), ("submodular_witness",)}
+_FREE_TEXT = {("instance",), ("algorithm_output",), ("submodular_witness", "x")}
+
+
+def _may_be_valid(path: tuple, good, value) -> bool:
+    """Whether value has the field's one valid type: null for an optional
+    field, or the rendered value's JSON type, unless that is an object or
+    a text with a form of its own (rational, eps, mantissa)."""
+    if value is None:
+        return path in _OPTIONAL
+    if type(value) is not type(good) or isinstance(value, dict):
+        return False
+    return not isinstance(value, str) or path in _FREE_TEXT
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_every_field_rejects_a_wrong_type(self, sample_lines, kind):
+        line = sample_lines[kind]
+        accepted = []
+        for path, good in _fields_of(json.loads(line)):
+            for value in _WRONG:
+                if _may_be_valid(path, good, value):
+                    continue
+                try:
+                    parse_record(_with(line, path, value))
+                except RecordError:
+                    continue
+                accepted.append((path, value))
+        assert accepted == []
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_unknown_field_rejected(self, sample_lines, kind):
+        with pytest.raises(RecordError, match="unknown field.*'extra'"):
+            parse_record(_with(sample_lines[kind], ("extra",), 1))
+
+    @pytest.mark.parametrize(
+        "path", [("threshold", "extra"), ("factor_ps", "extra"), ("monotone_witness", "u")]
+    )
+    def test_unknown_nested_field_rejected(self, sample_lines, path):
+        line = next(line for line in sample_lines.values() if f'"{path[0]}"' in line)
+        with pytest.raises(RecordError, match=f"{path[0]}: unknown field"):
+            parse_record(_with(line, path, []))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("ell_bf", "abc"), ("ell_star", None), ("precision_used", [1]),
+         ("certificate_holds_at_star", 1), ("eps", 5), ("eps", "-1/2"), ("eps", "0"),
+         ("eps", "1e-2"), ("rho_star", "1e-3000000"), ("rho_star", " 1/2"),
+         ("rho_star", "1/-2"), ("rho_star", "1.5"), ("rho_star", "\u0661/2")],
+    )
+    def test_ill_typed_plan_fields(self, sample_plan, field, value):
+        line = _with(render_record(sample_plan), (field,), value)
+        with pytest.raises(RecordError, match=field):
+            parse_record(line)
+
+    def test_exponent_text_rejected_at_once(self, sample_plan):
+        line = _with(render_record(sample_plan), ("rho_star",), "1e-999999999")
+        start = time.perf_counter()
+        with pytest.raises(RecordError, match="rho_star"):
+            parse_record(line)
+        assert time.perf_counter() - start < 0.1
+
+    def test_empty_enclosure_rejected_with_its_path(self, sample_report):
+        doc = json.loads(render_record(sample_report))
+        threshold = doc["threshold"]
+        threshold["lo"], threshold["hi"] = threshold["hi"], threshold["lo"]
+        with pytest.raises(RecordError, match="threshold: empty enclosure"):
+            parse_record(json.dumps(doc))
+
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(RecordError, match="unknown record kind"):
+            parse_record(json.dumps({"schema": SCHEMA_VERSION, "kind": []}))
+
+    def test_float_schema_rejected(self, sample_plan):
+        line = _with(render_record(sample_plan), ("schema",), 2.0)
+        with pytest.raises(RecordError, match="unsupported schema"):
+            parse_record(line)

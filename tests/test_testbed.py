@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -559,6 +560,44 @@ class TestInstanceFormat:
         }
         with pytest.raises(InstanceFormatError, match=r"blocks\[0\].capacity"):
             parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [
+            ([{"members": [], "capacity": 1}], r"blocks\[0\].members: expected a non-empty"),
+            (
+                [{"members": ["e1"], "capacity": 1}, {"members": ["e2", "e1"], "capacity": 1}],
+                r"blocks\[1\]: overlaps an earlier block on \['e1'\]",
+            ),
+        ],
+        ids=["empty", "overlap"],
+    )
+    def test_partition_block_errors_name_the_block(self, blocks, message):
+        doc = {
+            "universe": {"a": 1},
+            "ground": {"e1": ["a"], "e2": ["a"]},
+            "matroid": {"type": "partition", "blocks": blocks},
+        }
+        with pytest.raises(InstanceFormatError, match=message):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="Python 3.10 has no digit cap"
+    )
+    def test_int_past_the_digit_cap(self):
+        # json.loads raises a plain ValueError, not JSONDecodeError, for an
+        # integer literal longer than Python's cap on int-from-str digits
+        text = json.dumps(
+            {"universe": {"a": 1}, "ground": {"e1": ["a"]},
+             "matroid": {"type": "uniform", "rank": 0}}
+        ).replace('"rank": 0', '"rank": ' + "1" * 5000)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(InstanceFormatError, match="not valid instance text"):
+                parse_instance(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_duplicate_keys_rejected(self):
         text = '{"universe": {"a": 1, "a": 2}, "ground": {}, "matroid": {"type": "uniform", "rank": 0}}'
