@@ -29,10 +29,9 @@ in a SweepReport is therefore the one cmp_certified gives.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from ellplan._value import Frozen
 from ellplan.certified import (
@@ -441,38 +440,7 @@ def check_expansion_agreement(ells: Iterable[int]) -> ExpansionReport:
 
 
 # ---------------------------------------------------------------------------
-# global shape of phi: strict decrease and the 1/e floor
-
-
-def phi_step_down_certificate(ell: int) -> bool:
-    """Exact-rational proof that phi(ell+1) < phi(ell).
-
-    Cross-multiplying the two exact powers reduces the claim to
-    (1 + 1/B)^ell < (ell+2)/(ell+1) with B = ell(ell+2).  The left side is
-    bounded above by its first five binomial terms plus a geometric tail
-    (term ratio at most ell/B = 1/(ell+2) <= 1/3), so the whole check runs
-    in small rational arithmetic regardless of ell.
-    """
-    ell = _check_ell(ell)
-    big_b = ell * (ell + 2)
-    upper = Fraction(0)
-    for k in range(0, 5):
-        upper += Fraction(math.comb(ell, k), big_b**k)
-    upper += Fraction(3 * math.comb(ell, 5), 2 * big_b**5)
-    return upper < Fraction(ell + 2, ell + 1)
-
-
-def phi_strictly_decreasing(lo: int, hi: int) -> Optional[int]:
-    """Certify phi(ell+1) < phi(ell) for all ell in [lo, hi].
-
-    Returns None on success, else the first ell where the certificate did
-    not close (which would disprove strict decrease or expose a bound bug).
-    """
-    _check_ell(lo)
-    for ell in range(lo, hi + 1):
-        if not phi_step_down_certificate(ell):
-            return ell
-    return None
+# global shape of phi: the 1/e floor
 
 
 def phi_floor_sweep(

@@ -467,6 +467,7 @@ def _named_instances(args) -> list[tuple[str, testbed.CoverageInstance]]:
 def _cmd_testbed(args, policy: certified.RefinementPolicy, out) -> int:
     spec = planner.EpsSpec.parse(args.eps)
     instances = _named_instances(args)
+    depth_plan = planner.plan(spec, policy)
     structured = args.format == "structured"
     worst = EXIT_OK
     for label, instance in instances:
@@ -506,13 +507,10 @@ def _cmd_testbed(args, policy: certified.RefinementPolicy, out) -> int:
                 f"  monotone submodular: skipped (n > {testbed.CHECK_LIMIT})", file=out
             )
 
-        report = testbed.ratio_report(
-            instance, spec, seed=args.seed, policy=policy
-        )
+        report = testbed.ratio_report(instance, depth_plan, seed=args.seed)
         if structured:
             print(records.render_record(report), file=out)
         else:
-            certainty = "certified" if report.rho_certified else "NOT CERTIFIED"
             print(
                 f"  opt      = {report.f_opt} via {{{', '.join(report.opt_set)}}} "
                 f"({report.oracle_calls_brute} oracle calls)",
@@ -527,14 +525,12 @@ def _cmd_testbed(args, policy: certified.RefinementPolicy, out) -> int:
             print(
                 f"  ell_star = {report.ell_star} for eps = {spec}; "
                 f"rho_star = {report.rho_star} "
-                f"({certainty} >= 1 - 1/e - eps)",
+                "(certified >= 1 - 1/e - eps)",
                 file=out,
             )
             print(f"  target   = rho_star * opt = {report.target_value}", file=out)
             print(f"  greedy/opt = {report.empirical_ratio}", file=out)
             print(f"  {report.algorithm_output}", file=out)
-        if not report.rho_certified:
-            worst = max(worst, EXIT_FAILURE)
     return worst
 
 

@@ -22,17 +22,8 @@ from math import lcm
 from typing import AbstractSet, Callable, Iterable, Optional, Union
 
 from ellplan._value import Frozen
-from ellplan.bounds import rho
-from ellplan.certified import (
-    DEFAULT_POLICY,
-    Enclosure,
-    PrecisionExhausted,
-    RationalLike,
-    RefinementPolicy,
-    Verdict,
-    enclose_e,
-)
-from ellplan.planner import EpsSpec, depth_comparison, ell_star
+from ellplan.certified import Enclosure, enclose_e
+from ellplan.planner import EllPlan, EpsSpec
 
 BRUTE_FORCE_LIMIT = 20  # 2^n enumeration
 CHECK_LIMIT = 12  # 2^n values, n^2 local checks each
@@ -85,7 +76,7 @@ class PartitionMatroid(Frozen):
 
     def __post_init__(self):
         seen: set[str] = set()
-        for i, block in enumerate(self.blocks):
+        for block in self.blocks:
             overlap = seen & block.members
             if overlap:
                 raise ValueError(f"blocks overlap on {sorted(overlap)}")
@@ -498,7 +489,11 @@ def greedy(
 
 
 class RatioReport(Frozen):
-    """Certified target versus exact baselines for one instance and slack."""
+    """Certified target versus exact baselines for one instance and slack.
+
+    rho_certified is always true in schema 2: the plan the report reads
+    certified rho(ell_star) >= 1 - 1/e - eps before any instance ran.
+    """
 
     eps: EpsSpec
     ell_star: int
@@ -518,46 +513,29 @@ class RatioReport(Frozen):
 
 
 def ratio_report(
-    instance: CoverageInstance,
-    eps: Union[EpsSpec, RationalLike],
-    seed: Optional[int] = None,
-    policy: RefinementPolicy = DEFAULT_POLICY,
+    instance: CoverageInstance, plan: EllPlan, seed: Optional[int] = None
 ) -> RatioReport:
-    """Brute force, greedy, and the certified rho(ell_star) target.
-
-    The certification is the planner's minimality contract surfaced
-    end-to-end: rho(ell_star(eps)) >= 1 - 1/e - eps by certified comparison.
-    """
-    _require_brute_size(instance)
-    spec = eps if isinstance(eps, EpsSpec) else EpsSpec.from_rational(eps)
-    value = spec.eps
-
+    """Brute force and greedy against the plan's certified rho(ell_star) target."""
     brute_counter = OracleCounter()
     greedy_counter = OracleCounter()
     opt_set, f_opt = brute_force_opt(instance, brute_counter)
     greedy_set, greedy_value = greedy(instance, greedy_counter)
 
-    star = ell_star(spec, policy)
-    rho_star = rho(star)
-    # rho > 1 - 1/e - eps exactly when phi < 1/e + eps
-    res = depth_comparison(star, spec, policy)
-    if res.verdict is Verdict.UNRESOLVED:
-        raise PrecisionExhausted(
-            f"rho({star}) vs 1 - 1/e - {value} unresolved at {policy.cap_bits} bits"
-        )
+    value = plan.eps.eps
     e_enc = enclose_e(64)
     threshold = Enclosure(1 - value - 1 / e_enc.lo, 1 - value - 1 / e_enc.hi)
 
     names = instance.element_names
     return RatioReport(
-        eps=spec,
-        ell_star=star,
-        rho_star=rho_star,
-        rho_certified=res.verdict is Verdict.LESS,
+        eps=plan.eps,
+        ell_star=plan.ell_star,
+        rho_star=plan.rho_star,
+        # the plan's walk certified phi(ell_star) < 1/e + eps
+        rho_certified=True,
         threshold=threshold,
         f_opt=f_opt,
         opt_set=tuple(sorted(opt_set, key=names.index)),
-        target_value=rho_star * f_opt,
+        target_value=plan.rho_star * f_opt,
         greedy_value=greedy_value,
         greedy_set=tuple(sorted(greedy_set, key=names.index)),
         empirical_ratio=greedy_value / f_opt if f_opt else Fraction(1),
@@ -655,10 +633,7 @@ def _as_weight(value, path: str) -> Fraction:
             raise InstanceFormatError(f"{path}: bad weight text {value!r}") from exc
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise InstanceFormatError(f"{path}: weight must be a decimal number")
-    weight = Fraction(value)
-    if weight <= 0:
-        raise InstanceFormatError(f"{path}: weight must be positive, got {weight}")
-    return weight
+    return Fraction(value)
 
 
 def _as_name_list(value, path: str) -> list[str]:

@@ -32,8 +32,6 @@ from ellplan.bounds import (
     ordering_exception_at_one,
     phi,
     phi_floor_sweep,
-    phi_step_down_certificate,
-    phi_strictly_decreasing,
     log_e_phi,
     rho,
     sharp_exponent,
@@ -333,10 +331,6 @@ class TestExpansionAgreement:
 
 
 class TestShapeOfPhi:
-    def test_step_certificates_small(self):
-        for ell in range(1, 600):
-            assert phi_step_down_certificate(ell)
-
     def test_direct_adjacent_comparisons(self):
         for ell in range(1, 400):
             assert phi(ell + 1) < phi(ell)
@@ -347,7 +341,10 @@ class TestShapeOfPhi:
         assert phi(ell + 1) < phi(ell)
 
     def test_strictly_decreasing_full_default_range(self):
-        assert phi_strictly_decreasing(1, 10**4) is None
+        # phi(ell + 1) < phi(ell) exactly when log(e*phi) steps down
+        for ell in range(1, 10**4 + 1):
+            res = cmp_certified(log_e_phi(ell + 1), log_e_phi(ell))
+            assert res.verdict is Verdict.LESS, ell
 
     @pytest.mark.parametrize("ell", [1, 2, 10, 100, 5000, 10**4])
     def test_floor_above_inv_e(self, ell):

@@ -18,7 +18,7 @@ from ellplan.cli import (
     _policy_of,
     main,
 )
-from ellplan import costs
+from ellplan import costs, planner
 from ellplan.certified import RefinementPolicy
 from ellplan.costs import EXPECTED_TABLE, ExpectedRow
 from ellplan.planner import EllPlan
@@ -510,6 +510,26 @@ class TestTestbedCommand:
             assert report.seed == 4
             assert report.oracle_calls_brute >= 1
             assert report.oracle_calls_greedy >= 0
+
+    def test_one_plan_serves_every_instance(self, monkeypatch):
+        searches = []
+        original = planner._ell_star_search
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "_ell_star_search", counted)
+        code, text = run("testbed", "--random", "5", "--eps", "1e-2")
+        assert code == EXIT_OK
+        assert text.count("instance random-") == 5
+        assert len(searches) == 1
+
+    def test_inconclusive_slack_prints_no_instance(self, capsys):
+        code, text = run("testbed", "--random", "2", "--eps", "1e-2000")
+        assert code == EXIT_INCONCLUSIVE
+        assert text == ""
+        assert capsys.readouterr().err.startswith("inconclusive:")
 
     def test_source_required(self):
         with pytest.raises(SystemExit) as err:

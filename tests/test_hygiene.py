@@ -1,5 +1,6 @@
-"""Source hygiene that a linter would check: unused imports, unused private
-module-level names, the exports and CLI options that no command reads.
+"""Source hygiene that a linter would check: unused imports, unused local
+names, unused private module-level names, the exports and CLI options that
+no command reads.
 
 The source checks read the files with ``ast`` and import none of them; the
 option check runs each CLI command in-process.  None starts a process.
@@ -71,6 +72,69 @@ def test_no_unused_imports():
             if name not in used:
                 unused.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(node: ast.AST):
+    """Nodes of a function body, without nested functions, classes and
+    comprehension targets, whose names live in scopes of their own."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _SCOPES):
+            if not isinstance(child, ast.Lambda):
+                yield child  # its name is bound here
+            continue
+        if isinstance(child, ast.comprehension):
+            for part in (child.iter, *child.ifs):
+                yield part
+                yield from _own_scope(part)
+            continue
+        yield child
+        yield from _own_scope(child)
+
+
+def _local_bindings(func: ast.AST) -> dict[str, int]:
+    """Names a function binds in its own scope, mapped to their first line."""
+    declared, bound = set(), {}
+    for node in _own_scope(func):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.setdefault(node.id, node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.setdefault(node.name, node.lineno)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.setdefault(node.name, node.lineno)
+    return {n: line for n, line in bound.items() if n not in declared}
+
+
+def _local_reads(func: ast.AST) -> set[str]:
+    """Names read anywhere in a function, nested scopes included (a closure
+    reads its enclosing function's locals); x += 1 reads x."""
+    reads = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            reads.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            reads.add(node.target.id)
+    return reads
+
+
+def test_no_unused_local_names():
+    unused = []
+    for path in _scanned_files():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            reads = _local_reads(func)
+            unused += [
+                f"{path.relative_to(ROOT)}:{line}: {name}"
+                for name, line in _local_bindings(func).items()
+                if not name.startswith("_") and name not in reads
+            ]
+    assert not unused, "unused local names:\n" + "\n".join(unused)
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:

@@ -33,7 +33,7 @@ def sample_rows():
 
 @pytest.fixture(scope="module")
 def sample_report():
-    return ratio_report(bundled_instance("greedy_gap"), "1e-1", seed=11)
+    return ratio_report(bundled_instance("greedy_gap"), plan("1e-1"), seed=11)
 
 
 class TestRoundTrip:
@@ -79,7 +79,7 @@ class TestRoundTrip:
         assert again.threshold.lo < again.threshold.hi
 
     def test_none_seed_survives(self):
-        report = ratio_report(bundled_instance("three_cover"), "1e-1")
+        report = ratio_report(bundled_instance("three_cover"), plan("1e-1"))
         assert parse_record(render_record(report)).seed is None
 
     def test_clean_instance_check(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from ellplan.bounds import rho
+from ellplan.planner import plan
 from ellplan.testbed import (
     BUNDLED_INSTANCES,
     CoverageInstance,
@@ -429,7 +430,7 @@ class TestGreedy:
 
 class TestRatioReport:
     def test_tenth_slack_target(self, three_cover):
-        report = ratio_report(three_cover, "1e-1")
+        report = ratio_report(three_cover, plan("1e-1"))
         assert report.ell_star == 2
         assert report.rho_star == frac(5, 9)
         assert report.rho_certified
@@ -440,14 +441,14 @@ class TestRatioReport:
         assert report.algorithm_output == LOCAL_SEARCH_NOTE
 
     def test_twentieth_slack_target(self, three_cover):
-        report = ratio_report(three_cover, frac(1, 20))
+        report = ratio_report(three_cover, plan(frac(1, 20)))
         assert report.ell_star == 4
         assert report.rho_star == frac(369, 625)
         assert report.rho_star == rho(4)
         assert report.rho_certified
 
     def test_gap_instance_ratio_below_one(self, greedy_gap):
-        report = ratio_report(greedy_gap, "1e-1")
+        report = ratio_report(greedy_gap, plan("1e-1"))
         assert report.f_opt == 19
         assert report.greedy_value == 10
         assert report.empirical_ratio == frac(10, 19)
@@ -456,26 +457,26 @@ class TestRatioReport:
         assert report.greedy_value < report.target_value
 
     def test_threshold_encloses_true_value(self, three_cover):
-        report = ratio_report(three_cover, frac(1, 10))
+        report = ratio_report(three_cover, plan(frac(1, 10)))
         with mp.workdps(40):
             truth = mpf_to_fraction(+(1 - mp.exp(-1) - mp.mpf("0.1")))
         assert report.threshold.lo <= truth <= report.threshold.hi
         assert report.rho_star > report.threshold.hi
 
     def test_oracle_counts_recorded(self, three_cover):
-        report = ratio_report(three_cover, "1e-1", seed=77)
+        report = ratio_report(three_cover, plan("1e-1"), seed=77)
         assert report.oracle_calls_brute == 7
         assert report.oracle_calls_greedy == 5
         assert report.seed == 77
 
     def test_sorted_sets_follow_source_order(self, greedy_gap):
-        report = ratio_report(greedy_gap, "1e-1")
+        report = ratio_report(greedy_gap, plan("1e-1"))
         assert report.opt_set == ("e2", "e3")
         assert report.greedy_set == ("e1",)
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="n <= 20"):
-            ratio_report(single_item_instance(21), "1e-1")
+            ratio_report(single_item_instance(21), plan("1e-1"))
 
 
 class TestGenerateRandom:

@@ -81,7 +81,7 @@ def _examples() -> list:
         greedy_gap,
         _Masks.of(greedy_gap),
         check,
-        ratio_report(greedy_gap, "1e-1", seed=11),
+        ratio_report(greedy_gap, plan("1e-1"), seed=11),
         InstanceCheck.from_check("greedy_gap", check),
     ]
 
