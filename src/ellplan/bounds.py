@@ -41,6 +41,7 @@ from ellplan.certified import (
     RealExpr,
     RefinementPolicy,
     Verdict,
+    _Kernel,
     _ceil_div,
     _exp_fixed,
     _log1p_fixed,
@@ -85,10 +86,24 @@ def rho(ell: int) -> Fraction:
     return _coprime_fraction(value.denominator - value.numerator, value.denominator)
 
 
+def _log_e_phi_fixed(ell: int, w: int) -> tuple[int, int]:
+    """log(e*phi(ell)) = 1 - ell*log1p(1/ell) at scale w: log_e_phi's kernel.
+
+    log1p(1/ell) is enclosed ell.bit_length() + 1 bits finer than w, so its
+    product with ell, rounded outward to one bit finer than w and then to w,
+    stays about as tight as the log1p interval itself.
+    """
+    extra = ell.bit_length()
+    lo, hi = _log1p_fixed(1, ell, w + 1 + extra)
+    lo, hi = ell * lo >> extra, _ceil_div(ell * hi, 1 << extra)
+    one = 1 << w
+    return one + (-hi >> 1), one + _ceil_div(-lo, 2)
+
+
 def log_e_phi(ell: int) -> RealExpr:
     """log(e*phi(ell)) = 1 - ell*log1p(1/ell); below log(c) iff phi(ell) < c/e."""
     ell = _check_ell(ell)
-    return 1 - const(ell) * log1p_of(Fraction(1, ell))
+    return _Kernel("log(e*phi({}))", ell, _log_e_phi_fixed, ell)
 
 
 class BoundKind(Enum):
@@ -110,18 +125,25 @@ def sharp_exponent(ell: int) -> Fraction:
     return Fraction(6 * ell * ell - 4 * ell + 3, 12 * ell**3)
 
 
+# Each rational bound's e-scaled factor minus 1 as (num, den), in the order
+# of the chain.  Lowest terms let a sweep check that goes on to cmp_certified
+# find its first rung in _log1p_fixed's cache.
+_FACTOR_MINUS_ONE = {
+    BoundKind.POLYA_SZEGO: lambda ell: (1, 2 * ell),
+    BoundKind.LOOSE_RECIP: lambda ell: (1, ell - 1),
+    BoundKind.LOOSE_LINEAR: lambda ell: (1, ell >> 1) if ell % 2 == 0 else (2, ell),
+}
+
+
 def bound_factor(kind: BoundKind, ell: int) -> RealExpr:
     """The bound with its 1/e peeled off; rational for all kinds but sharp."""
     ell = _check_ell(ell)
     if ell < kind.min_ell:
         raise ValueError(f"{kind.value} bound needs ell >= {kind.min_ell}")
-    if kind is BoundKind.LOOSE_RECIP:
-        return const(Fraction(ell, ell - 1))
-    if kind is BoundKind.LOOSE_LINEAR:
-        return const(Fraction(ell + 2, ell))
-    if kind is BoundKind.POLYA_SZEGO:
-        return const(Fraction(2 * ell + 1, 2 * ell))
-    return exp_of(sharp_exponent(ell))
+    if kind is BoundKind.SHARP:
+        return exp_of(sharp_exponent(ell))
+    num, den = _FACTOR_MINUS_ONE[kind](ell)
+    return const(Fraction(den + num, den))
 
 
 def bound_value(kind: BoundKind, ell: int) -> RealExpr:
@@ -133,7 +155,7 @@ def _log_bound_factor(kind: BoundKind, ell: int) -> RealExpr:
     # log of bound_factor: the sharp exponent itself, else log1p(factor - 1)
     if kind is BoundKind.SHARP:
         return const(sharp_exponent(ell))
-    return log1p_of(bound_factor(kind, ell).exact() - 1)
+    return log1p_of(Fraction(*_FACTOR_MINUS_ONE[kind](ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +201,11 @@ class SweepReport(Frozen):
         return "; ".join(parts)
 
 
-def _log_e_phi_fixed(ell: int, w: int) -> tuple[int, int]:
-    """log_e_phi(ell)._fixed(w), straight from the log1p kernel.
-
-    The tree 1 - ell*log1p(1/ell) evaluates its product one bit finer for
-    the factor -1 and ell.bit_length() bits finer for the factor ell, and
-    each scaling rounds outward; these are the same integer steps.
-    """
-    extra = ell.bit_length()
-    lo, hi = _log1p_fixed(1, ell, w + 1 + extra)
-    lo, hi = ell * lo >> extra, _ceil_div(ell * hi, 1 << extra)
-    one = 1 << w
-    return one + (-hi >> 1), one + _ceil_div(-lo, 2)
-
-
 def _log_target_fixed(kind: BoundKind, ell: int, w: int) -> tuple[int, int]:
-    # _log_bound_factor(kind, ell)._fixed(w): log1p(factor - 1) in lowest
-    # terms, or the sharp exponent itself
-    if kind is BoundKind.LOOSE_RECIP:
-        return _log1p_fixed(1, ell - 1, w)
-    if kind is BoundKind.LOOSE_LINEAR:
-        return _log1p_fixed(1, ell >> 1, w) if ell % 2 == 0 else _log1p_fixed(2, ell, w)
-    if kind is BoundKind.POLYA_SZEGO:
-        return _log1p_fixed(1, 2 * ell, w)
-    return _rational_fixed(sharp_exponent(ell), w)
+    # _log_bound_factor(kind, ell)._fixed(w)
+    if kind is BoundKind.SHARP:
+        return _rational_fixed(sharp_exponent(ell), w)
+    return _log1p_fixed(*_FACTOR_MINUS_ONE[kind](ell), w)
 
 
 def _decide(ia, ib, policy: RefinementPolicy, descriptors) -> tuple[Verdict, int]:
@@ -295,11 +298,14 @@ def verify_bound_ordering(
         f"{s.value} <= {l.value}": [] for s, l in _ORDER_CHAIN
     }
     sharp_ps, ps_recip, recip_linear = entries.values()
+    one = 1 << w
     for ell in range(lo, hi + 1):
+        ps, recip, linear = [excess(ell) for excess in _FACTOR_MINUS_ONE.values()]
         eta = sharp_exponent(ell)
         verdict, bits = _decide(
             _exp_fixed(eta.numerator, eta.denominator, w),
-            _rational_fixed(Fraction(2 * ell + 1, 2 * ell), w),
+            # the factor 1 + ps[0]/ps[1] at scale w, as _rational_fixed gives it
+            (one + (ps[0] << w) // ps[1], one + _ceil_div(ps[0] << w, ps[1])),
             policy,
             lambda: (
                 bound_factor(BoundKind.SHARP, ell),
@@ -307,10 +313,10 @@ def verify_bound_ordering(
             ),
         )
         sharp_ps.append(SweepEntry(ell, verdict, bits, verdict is Verdict.LESS))
-        # the factors (2 ell + 1)/(2 ell), ell/(ell - 1) and (ell + 2)/ell
+        # rational factors compare as their excesses over 1 do
         for out, link in (
-            (ps_recip, _exact_verdict(2 * ell + 1, 2 * ell, ell, ell - 1)),
-            (recip_linear, _exact_verdict(ell, ell - 1, ell + 2, ell)),
+            (ps_recip, _exact_verdict(*ps, *recip)),
+            (recip_linear, _exact_verdict(*recip, *linear)),
         ):
             ok = link in (Verdict.LESS, Verdict.EQUAL)
             out.append(SweepEntry(ell, link, 0, ok))

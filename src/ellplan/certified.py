@@ -1,10 +1,12 @@
 """Certified enclosures of e, exp and log(1+x), and certified comparison.
 
-Real values are described by RealExpr trees (rational constants, e and 1/e,
-exp and log1p of rationals, sums and products) and evaluate in integer fixed
+Real values are described by RealExpr trees and evaluate in integer fixed
 point: an interval at scale w is a pair of ints (lo, hi) standing for
 [lo * 2^-w, hi * 2^-w], and every step rounds lo down and hi up, so operands
-stay near w bits.  Every series is cut off with an explicit tail bound.
+stay near w bits.  Every series is cut off with an explicit tail bound.  A
+tree's nodes are rational constants; kernel nodes, each one fixed-point
+kernel under a label (e, 1/e as exp(-1), exp and log1p of a rational, and
+bounds' log(e*phi(ell))); log1p of a non-rational value; sums and products.
 
 RealExpr.enclose turns such an interval into an Enclosure with dyadic
 Fraction endpoints at most 2^-bits wide.  Enclosure is only a result type,
@@ -120,8 +122,6 @@ def enclose_exp(x: RationalLike, precision_bits: int) -> Enclosure:
 
 def enclose_log1p(x: RationalLike, precision_bits: int) -> Enclosure:
     """Enclosure of log(1+x) for rational x >= 0; see RealExpr.enclose."""
-    if x < 0:
-        raise ValueError("enclose_log1p requires x >= 0")
     return log1p_of(x).enclose(precision_bits)
 
 
@@ -358,32 +358,28 @@ class _Const(RealExpr):
         return str(self.value)
 
 
-class _EulerE(RealExpr):
-    def _fixed(self, w: int) -> tuple[int, int]:
-        return _e_fixed(w)
+class _Kernel(RealExpr):
+    """The value kernel(*args, w) computes, named label.format(shown); the
+    name is formatted only when asked, as an argument's digits can be many."""
 
-    def describe(self) -> str:
-        return "e"
-
-
-class _Exp(RealExpr):
-    def __init__(self, arg: Fraction):
-        self.arg = arg
+    def __init__(self, label: str, shown, kernel, *args):
+        self.label, self.shown = label, shown
+        self.kernel, self.args = kernel, args
 
     def _fixed(self, w: int) -> tuple[int, int]:
-        return _exp_fixed(self.arg.numerator, self.arg.denominator, w)
+        return self.kernel(*self.args, w)
 
     def describe(self) -> str:
-        return f"exp({self.arg})"
+        return self.label.format(self.shown)
 
 
 class _Log1p(RealExpr):
-    def __init__(self, arg: Union[Fraction, RealExpr]):
+    """log(1 + arg) for a non-rational arg >= 0, such as the planner's e*eps."""
+
+    def __init__(self, arg: RealExpr):
         self.arg = arg
 
     def _fixed(self, w: int) -> tuple[int, int]:
-        if isinstance(self.arg, Fraction):
-            return _log1p_fixed(self.arg.numerator, self.arg.denominator, w)
         # log1p is increasing with slope at most 1 on x >= 0, so the ends of
         # the argument's interval at the same scale bound it
         lo, hi = self.arg._fixed(w)
@@ -392,8 +388,7 @@ class _Log1p(RealExpr):
         return _log1p_fixed(lo, 1 << w, w)[0], _log1p_fixed(hi, 1 << w, w)[1]
 
     def describe(self) -> str:
-        arg = self.arg if isinstance(self.arg, Fraction) else self.arg.describe()
-        return f"log1p({arg})"
+        return f"log1p({self.arg.describe()})"
 
 
 class _Add(RealExpr):
@@ -440,23 +435,8 @@ class _Mul(RealExpr):
         return f"({self.a.describe()} * {self.b.describe()})"
 
 
-class _Inv(RealExpr):
-    def __init__(self, a: RealExpr):
-        self.a = a
-
-    def _fixed(self, w: int) -> tuple[int, int]:
-        # 1/a is about width(a)/a^2 wide
-        lo, hi = self.a._fixed(w)
-        if lo <= 0 <= hi:
-            raise ZeroStraddle(f"cannot invert {self.a.describe()} at {w} bits")
-        num = 1 << (2 * w)
-        return num // hi, _ceil_div(num, lo)
-
-    def describe(self) -> str:
-        return f"(1 / {self.a.describe()})"
-
-
-E = _EulerE()
+E = _Kernel("e", None, _e_fixed)
+_INV_E = _Kernel("(1 / e)", None, _exp_fixed, -1, 1)
 
 
 def as_expr(v) -> RealExpr:
@@ -475,7 +455,7 @@ def exp_of(arg: RationalLike) -> RealExpr:
     arg = _as_fraction(arg)
     if arg == 0:
         return _Const(1)
-    return _Exp(arg)
+    return _Kernel("exp({})", arg, _exp_fixed, arg.numerator, arg.denominator)
 
 
 def log1p_of(arg: Union[RationalLike, RealExpr]) -> RealExpr:
@@ -489,7 +469,7 @@ def log1p_of(arg: Union[RationalLike, RealExpr]) -> RealExpr:
         raise ValueError("log1p_of requires arg >= 0")
     if arg == 0:
         return _Const(0)
-    return _Log1p(arg)
+    return _Kernel("log1p({})", arg, _log1p_fixed, arg.numerator, arg.denominator)
 
 
 def _add(a: RealExpr, b: RealExpr) -> RealExpr:
@@ -515,7 +495,7 @@ def _negate(a: RealExpr) -> RealExpr:
 
 def inv_e() -> RealExpr:
     """The constant 1/e as a descriptor."""
-    return _Inv(E)
+    return _INV_E
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,8 @@ def _named_instances(args) -> list[tuple[str, testbed.CoverageInstance]]:
 def _cmd_testbed(args, policy: certified.RefinementPolicy, out) -> int:
     spec = planner.EpsSpec.parse(args.eps)
     instances = _named_instances(args)
+    for _, instance in instances:
+        testbed._require_brute_size(instance)
     depth_plan = planner.plan(spec, policy)
     structured = args.format == "structured"
     worst = EXIT_OK

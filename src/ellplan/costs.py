@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 from ellplan import certified
 from ellplan._value import Frozen
 from ellplan.certified import DEFAULT_POLICY, RationalLike, RefinementPolicy
-from ellplan.planner import EpsSpec, _ell_star_search, ell_bf
+from ellplan.planner import EpsSpec, _ell_star_search, _terminating_decimal, ell_bf
 
 
 def _rendering_index(d: int) -> int:
@@ -144,22 +144,10 @@ PAPER_EPS = tuple(EpsSpec.parse(row.eps_text) for row in EXPECTED_TABLE)
 def format_eps(eps: Union[EpsSpec, Fraction]) -> str:
     """Canonical display: 1e-3 / 5e-2 style when possible, else decimal, else p/q."""
     value = eps.eps if isinstance(eps, EpsSpec) else eps
-    p, q = value.numerator, value.denominator
-    if value >= 1:
+    decimal = _terminating_decimal(value) if value < 1 else None
+    if decimal is None:
         return str(value)
-    rest = q
-    for base in (2, 5):
-        while rest % base == 0:
-            rest //= base
-    if rest != 1:
-        return f"{p}/{q}"
-    # terminating decimal: find the smallest k with p * 10^k divisible by q
-    k = 0
-    scaled = p
-    while scaled % q != 0:
-        scaled *= 10
-        k += 1
-    digits = scaled // q
+    digits, k = decimal
     if digits < 10:
         return f"{digits}e-{k}"
     text = str(digits).rjust(k, "0")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from ellplan._value import Frozen
 from ellplan.bounds import log_e_phi, rho, sharp_exponent
@@ -75,6 +75,20 @@ class EpsSpec(Frozen):
 
     def __str__(self) -> str:
         return str(self.eps)
+
+
+def _terminating_decimal(value: Fraction) -> Optional[tuple[int, int]]:
+    """(digits, k) with value = digits / 10^k and k least, which is max(a, b)
+    for a denominator 2^a 5^b; None when the denominator has another factor."""
+    den = value.denominator
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest, fives = rest // 5, fives + 1
+    if rest != 1:
+        return None
+    k = max(twos, fives)
+    return value.numerator * 10**k // den, k
 
 
 def _eps_value(eps: Union[EpsSpec, RationalLike]) -> Fraction:

@@ -23,7 +23,7 @@ from typing import AbstractSet, Callable, Iterable, Optional, Union
 
 from ellplan._value import Frozen
 from ellplan.certified import Enclosure, enclose_e
-from ellplan.planner import EllPlan, EpsSpec
+from ellplan.planner import EllPlan, EpsSpec, _terminating_decimal
 
 BRUTE_FORCE_LIMIT = 20  # 2^n enumeration
 CHECK_LIMIT = 12  # 2^n values, n^2 local checks each
@@ -587,19 +587,10 @@ def generate_random_instance(
 
 
 def _decimal_text(value: Fraction) -> str:
-    den = value.denominator
-    rest = den
-    for base in (2, 5):
-        while rest % base == 0:
-            rest //= base
-    if rest != 1:
+    decimal = _terminating_decimal(value)
+    if decimal is None:
         raise ValueError(f"{value} has no terminating decimal form")
-    k = 0
-    scaled = value.numerator
-    while scaled % den != 0:
-        scaled *= 10
-        k += 1
-    digits = scaled // den
+    digits, k = decimal
     if k == 0:
         return str(digits)
     text = str(digits).rjust(k + 1, "0")
@@ -624,9 +615,26 @@ def _require_keys(obj: dict, path: str, required: set[str]) -> None:
         raise InstanceFormatError(f"{path}: unknown field(s) {sorted(unknown)}")
 
 
+_MAX_EXPONENT = 4300  # json's int-literal digit cap; Fraction builds 10**exponent
+
+
+class _JsonNumber(Frozen):
+    """A non-integer JSON number's text, read once its field path is known."""
+
+    text: str
+
+
 def _as_weight(value, path: str) -> Fraction:
+    if isinstance(value, _JsonNumber):
+        value = value.text
     if isinstance(value, str):
         # exact-decimal text form, what instance_to_jsonable emits
+        exponent = value.lower().partition("e")[2].replace("_", "").strip()
+        exponent = exponent.lstrip("+-").lstrip("0")
+        if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > _MAX_EXPONENT):
+            raise InstanceFormatError(
+                f"{path}: weight's decimal exponent exceeds {_MAX_EXPONENT}"
+            )
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -651,7 +659,7 @@ def parse_instance(text: str) -> CoverageInstance:
     """
     try:
         raw = json.loads(
-            text, parse_float=Fraction, object_pairs_hook=_reject_duplicates
+            text, parse_float=_JsonNumber, object_pairs_hook=_reject_duplicates
         )
     except InstanceFormatError:
         raise

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from ellplan.certified import (
     const,
     enclose_log1p,
     exp_of,
+    inv_e,
+    log1p_of,
 )
 from ellplan.bounds import (
     BoundKind,
@@ -23,6 +26,7 @@ from ellplan.bounds import (
     _ORDER_CHAIN,
     _log_bound_factor,
     _log_e_phi_fixed,
+    _log_target_fixed,
     bound_factor,
     bound_value,
     check_expansion_agreement,
@@ -42,6 +46,11 @@ from ellplan.bounds import (
 from conftest import mpf_to_fraction
 
 
+def reference_log_e_phi(ell):
+    """log(e*phi(ell)) as a tree of the generic nodes: log_e_phi's reference."""
+    return 1 - const(ell) * log1p_of(Fraction(1, ell))
+
+
 # ---------------------------------------------------------------------------
 # the sweeps as one cmp_certified call per check: the reference that the
 # sweeps' first-rung shortcut must reproduce entry for entry
@@ -50,7 +59,7 @@ from conftest import mpf_to_fraction
 def reference_verify_bounds(kinds, lo, hi, policy):
     entries = {kind: [] for kind in kinds}
     for ell in range(lo, hi + 1):
-        value = log_e_phi(ell)
+        value = reference_log_e_phi(ell)
         for kind, out in entries.items():
             if ell >= kind.min_ell:
                 cmp = cmp_certified(value, _log_bound_factor(kind, ell), policy)
@@ -82,7 +91,7 @@ def reference_verify_bound_ordering(lo, hi, policy):
 def reference_phi_floor_sweep(lo, hi, policy):
     entries = []
     for ell in range(lo, hi + 1):
-        cmp = cmp_certified(log_e_phi(ell), const(0), policy)
+        cmp = cmp_certified(reference_log_e_phi(ell), const(0), policy)
         ok = cmp.verdict is Verdict.GREATER
         entries.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
     return SweepReport(label=f"phi > 1/e on [{lo}, {hi}]", entries=tuple(entries))
@@ -112,9 +121,46 @@ class TestSweepsMatchReference:
 
     @pytest.mark.parametrize("start_bits", START_BITS)
     def test_direct_value_interval(self, start_bits):
+        # The tree evaluates log1p(1/ell) one bit finer for the factor -1
+        # and ell.bit_length() bits finer for the factor ell, and each
+        # scaling rounds outward; the kernel must take the same integer
+        # steps.  Every ell to 3000 at the first rung's scale, and a seeded
+        # sample out to ell = 10^12 and w = 5000.
         w = _working_scale(start_bits)
-        for ell in range(1, 3001):
-            assert _log_e_phi_fixed(ell, w) == log_e_phi(ell)._fixed(w), ell
+        rng = random.Random(start_bits)
+        pairs = [(ell, w) for ell in range(1, 3001)] + [(10**12, 5000)]
+        pairs += [
+            (rng.randint(1, 10 ** rng.randint(1, 12)), rng.randint(9, 5000))
+            for _ in range(75)
+        ]
+        for ell, w in pairs:
+            expected = reference_log_e_phi(ell)._fixed(w)
+            assert _log_e_phi_fixed(ell, w) == expected, (ell, w)
+            assert log_e_phi(ell)._fixed(w) == expected, (ell, w)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 7, 10, 1001, 10**9])
+def test_factor_table_gives_the_paper_factors(ell):
+    factors = {
+        BoundKind.LOOSE_RECIP: Fraction(ell, ell - 1),
+        BoundKind.LOOSE_LINEAR: Fraction(ell + 2, ell),
+        BoundKind.POLYA_SZEGO: Fraction(2 * ell + 1, 2 * ell),
+    }
+    for kind, factor in factors.items():
+        assert bound_factor(kind, ell).exact() == factor
+        log_factor = _log_bound_factor(kind, ell)
+        assert log_factor.describe() == f"log1p({factor - 1})"
+        assert _log_target_fixed(kind, ell, 60) == log1p_of(factor - 1)._fixed(60)
+
+
+def test_labels_name_the_values():
+    assert log_e_phi(18394).describe() == "log(e*phi(18394))"
+    assert E.describe() == "e"
+    assert inv_e().describe() == "(1 / e)"
+    assert exp_of(Fraction(5, 12)).describe() == "exp(5/12)"
+    assert exp_of(1).describe() == "exp(1)"
+    assert log1p_of(Fraction(1, 3)).describe() == "log1p(1/3)"
+    assert log1p_of(E * const(Fraction(1, 100))).describe() == "log1p((e * 1/100))"
 
 
 class TestPhi:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from ellplan.cli import (
     _policy_of,
     main,
 )
-from ellplan import costs, planner
+from ellplan import costs, planner, testbed
 from ellplan.certified import RefinementPolicy
 from ellplan.costs import EXPECTED_TABLE, ExpectedRow
 from ellplan.planner import EllPlan
@@ -531,6 +532,26 @@ class TestTestbedCommand:
         assert text == ""
         assert capsys.readouterr().err.startswith("inconclusive:")
 
+    @pytest.mark.parametrize("eps", ["1e-1", "1e-2000"])
+    def test_oversized_instance_prints_nothing(self, eps, tmp_path, capsys):
+        # the size check comes before the plan and before any line
+        n = testbed.BRUTE_FORCE_LIMIT + 1
+        path = tmp_path / "big.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "universe": {"a": 1},
+                    "ground": {f"e{j}": ["a"] for j in range(n)},
+                    "matroid": {"type": "uniform", "rank": 1},
+                }
+            )
+        )
+        code, text = run("testbed", "--instance", str(path), "--eps", eps)
+        assert code == EXIT_USAGE
+        assert text == ""
+        err = capsys.readouterr().err
+        assert f"n <= {testbed.BRUTE_FORCE_LIMIT}, got {n}" in err
+
     def test_source_required(self):
         with pytest.raises(SystemExit) as err:
             main(["testbed", "--eps", "1e-1"])
@@ -644,3 +665,48 @@ class TestClosedPipe:
             os.close(write_end)
         assert done.returncode == EXIT_USAGE
         assert done.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+def _other_interpreters() -> dict[int, str]:
+    """Minor version to path of every python3.1x (x >= 10) on PATH that runs
+    and is not this interpreter's version."""
+    found = {}
+    for minor in range(10, 20):
+        path = shutil.which(f"python3.{minor}")
+        if path is None or minor == sys.version_info.minor:
+            continue
+        try:
+            done = subprocess.run(
+                [path, "-c", "import sys; print(sys.version_info.minor)"],
+                capture_output=True, text=True, timeout=30,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        # a version-manager shim for an interpreter that is not installed
+        # exits nonzero
+        if done.returncode == 0 and done.stdout.strip() == str(minor):
+            found[minor] = path
+    return found
+
+
+def test_declared_python_range_prints_the_same_bytes():
+    # pyproject.toml declares requires-python >= 3.10
+    others = _other_interpreters()
+    if not others:
+        pytest.skip("no other python3.1x (x >= 10) on PATH")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (
+        ["plan", "--eps", "1e-3", "--format", "structured"],
+        ["testbed", "--random", "2", "--seed", "3", "--eps", "1e-2", "--format", "structured"],
+    ):
+        want = subprocess.run(
+            [sys.executable, "-m", "ellplan.cli", *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert want.returncode == EXIT_OK and want.stdout
+        for minor, path in others.items():
+            got = subprocess.run(
+                [path, "-m", "ellplan.cli", *argv], capture_output=True, env=env, timeout=60
+            )
+            assert (got.returncode, got.stdout) == (EXIT_OK, want.stdout), (minor, argv)

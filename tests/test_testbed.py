@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -31,7 +33,7 @@ from ellplan.testbed import (
     parse_instance,
     ratio_report,
 )
-from ellplan.testbed import _Masks, _scan_table
+from ellplan.testbed import _Masks, _as_weight, _scan_table
 
 from conftest import mpf_to_fraction
 
@@ -599,6 +601,48 @@ class TestInstanceFormat:
                 parse_instance(text)
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("weight", ["1e-999999999", '"1e-999999999"'])
+    def test_huge_exponent_refused_at_once(self, weight):
+        # Fraction would build 10^999999999; a subprocess with a timeout
+        # turns such a hang into a failure
+        text = (
+            '{"universe": {"a": %s}, "ground": {"e1": ["a"]}, '
+            '"matroid": {"type": "uniform", "rank": 1}}' % weight
+        )
+        program = (
+            "import sys\n"
+            "from ellplan.testbed import InstanceFormatError, parse_instance\n"
+            "try:\n"
+            "    parse_instance(sys.stdin.read())\n"
+            "except InstanceFormatError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(parse_instance.__code__.co_filename)))
+        done = subprocess.run(
+            [sys.executable, "-c", program], input=text, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=20,
+        )
+        assert done.stdout == "universe.a: weight's decimal exponent exceeds 4300\n"
+
+    @pytest.mark.parametrize("spell", ["{}", '"{}"'])
+    def test_exponent_limit_is_4300(self, spell):
+        def doc(weight):
+            return (
+                '{"universe": {"a": %s}, "ground": {"e1": ["a"]}, '
+                '"matroid": {"type": "uniform", "rank": 1}}' % spell.format(weight)
+            )
+
+        assert parse_instance(doc("1e-4300")).universe == (("a", Fraction(1, 10**4300)),)
+        assert parse_instance(doc("1E-0004300")).universe[0][1] == Fraction(1, 10**4300)
+        for weight in ("1e-4301", "1e4301", "1E+0004301"):
+            with pytest.raises(InstanceFormatError, match="universe.a: weight's decimal"):
+                parse_instance(doc(weight))
+
+    def test_exponent_limit_reads_underscores(self):
+        assert _as_weight("1e-00_4_300", "w") == Fraction(1, 10**4300)
+        with pytest.raises(InstanceFormatError, match="w: weight's decimal"):
+            _as_weight("1e-43_01", "w")
 
     def test_duplicate_keys_rejected(self):
         text = '{"universe": {"a": 1, "a": 2}, "ground": {}, "matroid": {"type": "uniform", "rank": 0}}'

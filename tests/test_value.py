@@ -40,6 +40,7 @@ from ellplan.records import InstanceCheck
 from ellplan.testbed import (
     OracleCounter,
     PartitionMatroid,
+    _JsonNumber,
     _Masks,
     bundled_instance,
     check_monotone_submodular,
@@ -80,6 +81,7 @@ def _examples() -> list:
         greedy_gap.matroid,
         greedy_gap,
         _Masks.of(greedy_gap),
+        _JsonNumber("1.5"),
         check,
         ratio_report(greedy_gap, plan("1e-1"), seed=11),
         InstanceCheck.from_check("greedy_gap", check),
