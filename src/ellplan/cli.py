@@ -190,12 +190,7 @@ def _cmd_plan(args, policy: certified.RefinementPolicy, out) -> int:
         else:
             value = planner.ell_star(spec, policy)
         if args.format == "structured":
-            print(
-                records.render_line(
-                    "depth", {"eps": str(spec), "rule": args.rule, "ell": value}
-                ),
-                file=out,
-            )
+            print(records.render_record(records.Depth(spec, args.rule, value)), file=out)
         else:
             print(value, file=out)
         return EXIT_OK
@@ -221,20 +216,7 @@ def _cmd_plan(args, policy: certified.RefinementPolicy, out) -> int:
 
 def _sweep_lines(report, output_format: str, out) -> None:
     if output_format == "structured":
-        print(
-            records.render_line(
-                "sweep",
-                {
-                    "label": report.label,
-                    "checked": len(report.entries),
-                    "all_ok": report.all_ok,
-                    "failures": [e.ell for e in report.failures],
-                    "inconclusive": [e.ell for e in report.inconclusive],
-                    "max_bits": max((e.bits_used for e in report.entries), default=0),
-                },
-            ),
-            file=out,
-        )
+        print(records.render_record(records.SweepSummary.from_report(report)), file=out)
     else:
         status = "pass" if report.all_ok else "FAIL"
         print(f"{status}  {report.summary()}", file=out)
@@ -290,7 +272,7 @@ def _cmd_verify(args, policy: certified.RefinementPolicy, out) -> int:
             f"(certified {_verdict_word(exception.verdict)}, {exception.bits_used} bits)"
         )
         if args.format == "structured":
-            print(records.render_line("note", {"text": note}), file=out)
+            print(records.render_record(records.Note(note)), file=out)
         else:
             print(f"note  {note}", file=out)
         return _sweep_exit(list(reports.values()))
@@ -315,19 +297,8 @@ def _cmd_verify(args, policy: certified.RefinementPolicy, out) -> int:
             failures += len(bad)
             unresolved += len(unres)
             if args.format == "structured":
-                print(
-                    records.render_line(
-                        "log-check",
-                        {
-                            "name": name,
-                            "points": len(points),
-                            "all_ok": not bad and not unres,
-                            "failures": [str(p) for p in bad],
-                            "inconclusive": [str(p) for p in unres],
-                        },
-                    ),
-                    file=out,
-                )
+                summary = records.LogCheckSummary.from_points(name, len(points), bad, unres)
+                print(records.render_record(summary), file=out)
             else:
                 status = "pass" if not bad and not unres else "FAIL"
                 detail = f"{len(points) - len(bad) - len(unres)}/{len(points)} certified"
@@ -345,19 +316,8 @@ def _cmd_verify(args, policy: certified.RefinementPolicy, out) -> int:
     report = bounds.check_expansion_agreement(ells)
     if args.format == "structured":
         for entry in report.entries:
-            print(
-                records.render_line(
-                    "expansion",
-                    {
-                        "ell": entry.ell,
-                        "scaled_lo": str(entry.scaled.lo),
-                        "scaled_hi": str(entry.scaled.hi),
-                        "envelope": str(report.envelope),
-                        "ok": entry.ok,
-                    },
-                ),
-                file=out,
-            )
+            point = records.ExpansionPoint.from_entry(entry, report.envelope)
+            print(records.render_record(point), file=out)
     else:
         for entry, line in zip(report.entries, report.summary().splitlines()):
             print(f"{'pass' if entry.ok else 'FAIL'}  {line}", file=out)
@@ -388,9 +348,7 @@ def _cmd_table(args, policy: certified.RefinementPolicy, out) -> int:
     if result is None:
         return EXIT_OK
     if args.format == "structured":
-        # each mismatch as its row, column, expected and got fields
-        line = {"ok": result.ok, "mismatches": [vars(m) for m in result.mismatches]}
-        print(records.render_line("table-check", line), file=out)
+        print(records.render_record(records.TableCheckResult.from_check(result)), file=out)
     else:
         lines = [f"check: MISMATCH {m}" for m in result.mismatches] or [
             f"check: all {len(rows)} rows match the embedded values"
@@ -411,19 +369,8 @@ def _cmd_certify(args, policy: certified.RefinementPolicy, out) -> int:
     holds = planner.certificate_sharp(args.ell, spec, policy)
     direct = planner.depth_comparison(args.ell, spec, policy)
     if args.format == "structured":
-        print(
-            records.render_line(
-                "certify",
-                {
-                    "ell": args.ell,
-                    "eps": str(spec),
-                    "certificate_holds": holds,
-                    "direct": _verdict_word(direct.verdict),
-                    "bits": direct.bits_used,
-                },
-            ),
-            file=out,
-        )
+        outcome = records.Certification.from_comparison(args.ell, spec, holds, direct)
+        print(records.render_record(outcome), file=out)
     else:
         print(
             f"certificate (sufficient only): {'holds' if holds else 'does not hold'}",

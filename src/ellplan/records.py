@@ -3,12 +3,14 @@
 One object per line, every line self-describing: a schema version, a kind
 tag, then the payload.  ``_KINDS`` declares each kind's payload once: the
 fields of its value class, in order, each with a codec, a (render, parse)
-pair for one wire type.  Rendering and parsing are one loop over that
-table, and parse(render(x)) == x for every kind.  Parsing raises
-``RecordError`` on anything unfamiliar: every field's JSON type is checked
-(``true`` is not an int); rationals parse only as the exact "num/den" text
-``str(Fraction)`` writes, so exponent text such as ``1e-9`` is refused
-before any arithmetic; a missing or unknown field is refused by name; and a
+pair for one wire type.  Every structured line the CLI writes is one of
+these kinds.  Rendering and parsing are one loop over that table, and
+parse(render(x)) == x for every kind.  Parsing raises ``RecordError`` on
+anything unfamiliar: a key given twice is refused by name; every field's
+JSON type is checked (``true`` is not an int); rationals parse only as the
+exact "num/den" text ``str(Fraction)`` writes, so exponent text such as
+``1e-9`` is refused before any arithmetic; a word field such as a verdict
+takes only its words; a missing or unknown field is refused by name; and a
 value its class refuses, such as ``eps <= 0``, is refused at its path.
 """
 
@@ -22,7 +24,7 @@ from typing import Optional
 
 # modules, not names: a module runs at its first use here (see ellplan),
 # and a function replaced in its defining module is the one called
-from ellplan import certified, costs, planner, testbed
+from ellplan import bounds, certified, costs, planner, testbed
 from ellplan._value import Frozen
 
 SCHEMA_VERSION = 2
@@ -64,6 +66,102 @@ class InstanceCheck(Frozen):
         )
 
 
+class Depth(Frozen):
+    """The depth one rule gives for one slack, as ``plan --rule`` answers."""
+
+    eps: planner.EpsSpec
+    rule: str
+    ell: int
+
+
+class SweepSummary(Frozen):
+    """A bound sweep's outcome: the ell that failed and that stayed unresolved."""
+
+    label: str
+    checked: int
+    all_ok: bool
+    failures: tuple[int, ...]
+    inconclusive: tuple[int, ...]
+    max_bits: int
+
+    @classmethod
+    def from_report(cls, report: bounds.SweepReport) -> "SweepSummary":
+        return cls(
+            label=report.label,
+            checked=len(report.entries),
+            all_ok=report.all_ok,
+            failures=tuple(e.ell for e in report.failures),
+            inconclusive=tuple(e.ell for e in report.inconclusive),
+            max_bits=max((e.bits_used for e in report.entries), default=0),
+        )
+
+
+class Note(Frozen):
+    """A sentence that qualifies a suite's verdicts."""
+
+    text: str
+
+
+class LogCheckSummary(Frozen):
+    """One lower bound on log(1+x) over a grid: the points that failed and
+    that stayed unresolved."""
+
+    name: str
+    points: int
+    all_ok: bool
+    failures: tuple[Fraction, ...]
+    inconclusive: tuple[Fraction, ...]
+
+    @classmethod
+    def from_points(cls, name: str, points: int, failures, inconclusive) -> "LogCheckSummary":
+        failures, inconclusive = tuple(failures), tuple(inconclusive)
+        return cls(name, points, not failures and not inconclusive, failures, inconclusive)
+
+
+class ExpansionPoint(Frozen):
+    """The expansion check at one ell: ell^4 times the defect, enclosed,
+    against the envelope."""
+
+    ell: int
+    scaled_lo: Fraction
+    scaled_hi: Fraction
+    envelope: Fraction
+    ok: bool
+
+    @classmethod
+    def from_entry(cls, entry: bounds.ExpansionEntry, envelope: Fraction) -> "ExpansionPoint":
+        return cls(entry.ell, entry.scaled.lo, entry.scaled.hi, envelope, entry.ok)
+
+
+class Certification(Frozen):
+    """One depth against one slack: the sufficient certificate, and the
+    direct comparison's verdict and bits."""
+
+    ell: int
+    eps: planner.EpsSpec
+    certificate_holds: bool
+    direct: certified.Verdict
+    bits: int
+
+    @classmethod
+    def from_comparison(
+        cls, ell: int, eps: planner.EpsSpec, certificate_holds: bool,
+        direct: certified.Comparison,
+    ) -> "Certification":
+        return cls(ell, eps, certificate_holds, direct.verdict, direct.bits_used)
+
+
+class TableCheckResult(Frozen):
+    """The table against its embedded values: ok, or the cells that differ."""
+
+    ok: bool
+    mismatches: tuple[costs.CellMismatch, ...]
+
+    @classmethod
+    def from_check(cls, check: costs.TableCheck) -> "TableCheckResult":
+        return cls(check.ok, check.mismatches)
+
+
 def _same(value):
     return value
 
@@ -79,6 +177,36 @@ def _exactly(wire_type: type):
         return value
 
     return _same, parse
+
+
+def _choice(*words: str):
+    """Codec of a text that is one of ``words``."""
+
+    def parse(text, path: str):
+        if type(text) is not str or text not in words:
+            raise RecordError(f"{path}: expected one of {', '.join(words)}")
+        return text
+
+    return _same, parse
+
+
+def _parse_verdict(text, path: str):
+    verdicts = {verdict.name.lower(): verdict for verdict in certified.Verdict}
+    if type(text) is not str or text not in verdicts:
+        raise RecordError(f"{path}: expected a verdict, one of {', '.join(verdicts)}")
+    return verdicts[text]
+
+
+def _list(codec):
+    """Codec of a JSON list of values of one codec; it parses to a tuple."""
+    render, parse = codec
+
+    def parse_list(items, path: str) -> tuple:
+        if type(items) is not list:
+            raise RecordError(f"{path}: expected a list")
+        return tuple(parse(item, f"{path}[{i}]") for i, item in enumerate(items))
+
+    return (lambda values: [render(value) for value in values]), parse_list
 
 
 def _optional(codec):
@@ -162,6 +290,7 @@ _STR = _exactly(str)
 _RATIONAL = (str, _parse_rational)
 _EPS = (str, lambda text, path: planner.EpsSpec(_parse_rational(text, path)))
 _NAMES = (list, _parse_names)
+_VERDICT = (lambda verdict: verdict.name.lower(), _parse_verdict)
 _ENCLOSURE = _object(
     {"lo": _RATIONAL, "hi": _RATIONAL},
     lambda lo, hi: certified.Enclosure(lo, hi),
@@ -178,6 +307,11 @@ _MONOTONE_WITNESS = _optional(
 )
 _SUBMODULAR_WITNESS = _optional(
     _object({"s": _NAMES, "t": _NAMES, "x": _STR}, lambda *parts: parts, _same)
+)
+_MISMATCH = _object(
+    {"row": _STR, "column": _STR, "expected": _STR, "got": _STR},
+    lambda *parts: costs.CellMismatch(*parts),
+    lambda cell: (cell.row, cell.column, cell.expected, cell.got),
 )
 
 # kind -> (defining module, class name, {field: codec}), the fields in the
@@ -204,6 +338,29 @@ _KINDS = {
         "instance": _STR, "ok": _BOOL, "monotone_witness": _MONOTONE_WITNESS,
         "submodular_witness": _SUBMODULAR_WITNESS,
     }),
+    "depth": (__name__, "Depth", {
+        "eps": _EPS, "rule": _choice("bf", "ps", "star"), "ell": _INT,
+    }),
+    "sweep": (__name__, "SweepSummary", {
+        "label": _STR, "checked": _INT, "all_ok": _BOOL, "failures": _list(_INT),
+        "inconclusive": _list(_INT), "max_bits": _INT,
+    }),
+    "note": (__name__, "Note", {"text": _STR}),
+    "log-check": (__name__, "LogCheckSummary", {
+        "name": _STR, "points": _INT, "all_ok": _BOOL, "failures": _list(_RATIONAL),
+        "inconclusive": _list(_RATIONAL),
+    }),
+    "expansion": (__name__, "ExpansionPoint", {
+        "ell": _INT, "scaled_lo": _RATIONAL, "scaled_hi": _RATIONAL,
+        "envelope": _RATIONAL, "ok": _BOOL,
+    }),
+    "certify": (__name__, "Certification", {
+        "ell": _INT, "eps": _EPS, "certificate_holds": _BOOL, "direct": _VERDICT,
+        "bits": _INT,
+    }),
+    "table-check": (__name__, "TableCheckResult", {
+        "ok": _BOOL, "mismatches": _list(_MISMATCH),
+    }),
 }
 
 _KIND_OF_CLASS = {(module, name): kind for kind, (module, name, _) in _KINDS.items()}
@@ -216,7 +373,7 @@ def render_line(kind: str, payload: dict) -> str:
 
 
 def render_record(obj) -> str:
-    """Render a plan, table row, ratio report or instance check as one line."""
+    """Render a value of any class ``_KINDS`` declares as one line."""
     cls = type(obj)
     kind = _KIND_OF_CLASS.get((cls.__module__, cls.__qualname__))
     if kind is None:
@@ -225,10 +382,21 @@ def render_record(obj) -> str:
     return render_line(kind, _render_fields(fields, (getattr(obj, f) for f in fields)))
 
 
+def _refuse_duplicates(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        keys = [key for key, _ in pairs]
+        duplicate = next(key for key in keys if keys.count(key) > 1)
+        raise RecordError(f"duplicate key {duplicate!r}")
+    return doc
+
+
 def parse_record(line: str):
     """Inverse of render_record; raises RecordError on anything unfamiliar."""
     try:
-        doc = json.loads(line)
+        doc = json.loads(line, object_pairs_hook=_refuse_duplicates)
+    except RecordError:
+        raise
     except ValueError as exc:  # JSONDecodeError, or an int past the digit cap
         raise RecordError(f"not a record line: {exc}") from exc
     if not isinstance(doc, dict):

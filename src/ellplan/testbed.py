@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -616,12 +617,35 @@ def _require_keys(obj: dict, path: str, required: set[str]) -> None:
 
 
 _MAX_EXPONENT = 4300  # json's int-literal digit cap; Fraction builds 10**exponent
+# digits of a weight written out in plain decimal: room for a mantissa of
+# json's 4,300-digit cap at any exponent the limit above admits
+_MAX_DIGITS = 2 * _MAX_EXPONENT
 
 
 class _JsonNumber(Frozen):
-    """A non-integer JSON number's text, read once its field path is known."""
+    """A JSON number's text, read once its field path is known: every
+    non-integer number, and every integer literal too long to build."""
 
     text: str
+
+
+def _json_int(text: str):
+    # a literal past the interpreter's int digit cap fails in int() as it
+    # did in json; a long one under a raised cap stays text, so a weight's
+    # digit limit refuses it before int() spends quadratic time on it
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if len(text) <= _MAX_DIGITS or 0 < cap < len(text.lstrip("-")):
+        return int(text)
+    return _JsonNumber(text)
+
+
+def _plain_digits(mantissa: str, exponent: int) -> int:
+    """The digits of mantissa * 10**exponent written out in plain decimal,
+    less the zeros that lead it: exact at exponent 0, else an upper bound."""
+    whole, _, fraction = mantissa.strip().lstrip("+-").partition(".")
+    whole_digits = sum(map(str.isdigit, whole.lstrip("0_")))
+    fraction_digits = sum(map(str.isdigit, fraction))
+    return max(whole_digits + exponent, 0) + max(fraction_digits - exponent, 0)
 
 
 def _as_weight(value, path: str) -> Fraction:
@@ -629,12 +653,18 @@ def _as_weight(value, path: str) -> Fraction:
         value = value.text
     if isinstance(value, str):
         # exact-decimal text form, what instance_to_jsonable emits
-        exponent = value.lower().partition("e")[2].replace("_", "").strip()
-        exponent = exponent.lstrip("+-").lstrip("0")
-        if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > _MAX_EXPONENT):
+        mantissa, _, exponent = value.lower().partition("e")
+        magnitude = exponent.replace("_", "").strip().lstrip("+-").lstrip("0")
+        if magnitude.isdecimal() and (len(magnitude) > 4 or int(magnitude) > _MAX_EXPONENT):
             raise InstanceFormatError(
                 f"{path}: weight's decimal exponent exceeds {_MAX_EXPONENT}"
             )
+        try:
+            shift = int(exponent or 0)
+        except ValueError:
+            shift = 0  # not a decimal, which Fraction refuses below
+        if _plain_digits(mantissa, shift) > _MAX_DIGITS:
+            raise InstanceFormatError(f"{path}: weight has more than {_MAX_DIGITS} digits")
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -659,7 +689,8 @@ def parse_instance(text: str) -> CoverageInstance:
     """
     try:
         raw = json.loads(
-            text, parse_float=_JsonNumber, object_pairs_hook=_reject_duplicates
+            text, parse_float=_JsonNumber, parse_int=_json_int,
+            object_pairs_hook=_reject_duplicates,
         )
     except InstanceFormatError:
         raise

@@ -308,7 +308,8 @@ class TestTableCommand:
         assert all(doc["schema"] == SCHEMA_VERSION for doc in docs)
         assert [doc["kind"] for doc in docs] == ["table-row"] * 5 + ["table-check"]
         assert docs[-1]["ok"] is True and docs[-1]["mismatches"] == []
-        assert len(parse_records("\n".join(lines[:-1]))) == 5
+        *rows, check = parse_records(text)
+        assert len(rows) == 5 and check.ok and check.mismatches == ()
 
     def test_csv_check_keeps_stdout_to_the_table(self, capsys):
         code, text = run("table", "--check", "--format", "csv")

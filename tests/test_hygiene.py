@@ -247,3 +247,40 @@ def test_every_option_is_read_by_its_command():
     assert set(defined) == set(cli._COMMANDS)
     unread = {c: sorted(defined[c] - read[c]) for c in defined if defined[c] - read[c]}
     assert not unread, f"options no command reads: {unread}"
+
+
+def _render_calls(tree: ast.AST) -> list[str]:
+    """Each ``records.render*`` a tree reaches, and each bare ``render_line``."""
+    names = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("render")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "records"
+        ):
+            names.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id == "render_line":
+            names.append(node.id)
+    return names
+
+
+def test_cli_writes_structured_lines_only_through_render_record():
+    # a line built from an ad-hoc dict would skip the declared field table
+    # that parse_record reads it back with
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert set(_render_calls(tree)) == {"render_record"}
+    assert "json" not in _imported_names(tree)
+
+
+def test_only_render_record_calls_render_line():
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and "render_line" in _render_calls(node.func):
+                        callers.append(f"{path.name}:{func.name}")
+    assert callers == ["records.py:render_record"]

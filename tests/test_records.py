@@ -6,13 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from ellplan.costs import reproduce_table
-from ellplan.planner import plan
+from ellplan.certified import Verdict
+from ellplan.costs import CellMismatch, reproduce_table
+from ellplan.planner import EpsSpec, plan
 from ellplan.records import (
     _KINDS,
     SCHEMA_VERSION,
+    Certification,
+    Depth,
+    ExpansionPoint,
     InstanceCheck,
+    LogCheckSummary,
+    Note,
     RecordError,
+    SweepSummary,
+    TableCheckResult,
     parse_record,
     parse_records,
     render_line,
@@ -225,11 +233,38 @@ def test_declared_fields_are_the_class_fields(kind):
 
 
 @pytest.fixture(scope="module")
-def sample_lines(sample_plan, sample_rows, sample_report):
-    check = InstanceCheck("bad-case", False, (("a",), ("a", "b")), ((), ("e1",), "e2"))
+def sample_values(sample_plan, sample_rows, sample_report):
+    """One value of each kind, every optional and list field non-empty."""
     assert sample_report.seed is not None
-    lines = [render_record(obj) for obj in (sample_plan, sample_rows[1], sample_report, check)]
-    return {json.loads(line)["kind"]: line for line in lines}
+    values = [
+        sample_plan,
+        sample_rows[1],
+        sample_report,
+        InstanceCheck("bad-case", False, (("a",), ("a", "b")), ((), ("e1",), "e2")),
+        Depth(EpsSpec(Fraction(1, 100)), "star", 18),
+        SweepSummary("phi <= sharp on [1, 30]", 30, False, (4,), (9, 10), 8),
+        Note("at ell = 1 the chain genuinely breaks"),
+        LogCheckSummary("log_pade", 5, False, (Fraction(1, 4),), (Fraction(3, 4), Fraction(1))),
+        ExpansionPoint(100, Fraction(1, 3), Fraction(1, 2), Fraction(1), True),
+        Certification(5, EpsSpec(Fraction(1, 10)), True, Verdict.LESS, 32),
+        TableCheckResult(False, (CellMismatch("1e-1", "ell_bf", "12", "11"),)),
+    ]
+    return {json.loads(render_record(value))["kind"]: value for value in values}
+
+
+@pytest.fixture(scope="module")
+def sample_lines(sample_values):
+    return {kind: render_record(value) for kind, value in sample_values.items()}
+
+
+def test_samples_cover_every_kind(sample_values):
+    assert sorted(sample_values) == sorted(_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_every_kind_round_trips(sample_values, sample_lines, kind):
+    assert parse_record(sample_lines[kind]) == sample_values[kind]
+    assert render_record(parse_record(sample_lines[kind])) == sample_lines[kind]
 
 
 def _fields_of(doc: dict, path: tuple = ()):
@@ -252,7 +287,10 @@ def _with(line: str, path: tuple, value) -> str:
 
 _WRONG = (None, True, 5, 1.5, "x", [], {})
 _OPTIONAL = {("seed",), ("monotone_witness",), ("submodular_witness",)}
-_FREE_TEXT = {("instance",), ("algorithm_output",), ("submodular_witness", "x")}
+_FREE_TEXT = {
+    ("instance",), ("algorithm_output",), ("submodular_witness", "x"), ("label",),
+    ("text",), ("name",),
+}
 
 
 def _may_be_valid(path: tuple, good, value) -> bool:
@@ -329,3 +367,47 @@ class TestFieldChecks:
         line = _with(render_record(sample_plan), ("schema",), 2.0)
         with pytest.raises(RecordError, match="unsupported schema"):
             parse_record(line)
+
+    @pytest.mark.parametrize("kind", ["plan", "ratio-report"])
+    def test_duplicate_key_rejected_by_name(self, sample_lines, kind):
+        # the second value would silently win in a plain dict
+        line = sample_lines[kind]
+        with pytest.raises(RecordError, match="duplicate key 'ell_star'"):
+            parse_record(line[:-1] + ',"ell_star":999}')
+
+    def test_duplicate_nested_key_rejected_by_name(self, sample_lines):
+        line = sample_lines["ratio-report"]
+        doubled = line.replace('"threshold":{', '"threshold":{"lo":"0",', 1)
+        assert doubled != line
+        with pytest.raises(RecordError, match="duplicate key 'lo'"):
+            parse_record(doubled)
+
+    @pytest.mark.parametrize(
+        "kind,field,items",
+        [("sweep", "failures", [True]), ("sweep", "inconclusive", [1, "3"]),
+         ("log-check", "failures", ["1e-3"]), ("log-check", "inconclusive", [0.5]),
+         ("table-check", "mismatches", [{"row": "1e-1"}]),
+         ("table-check", "mismatches", [["1e-1", "ell_bf", "12", "11"]])],
+    )
+    def test_bad_list_item_rejected_at_its_index(self, sample_lines, kind, field, items):
+        index = len(items) - 1
+        with pytest.raises(RecordError, match=rf"^{field}\[{index}\]"):
+            parse_record(_with(sample_lines[kind], (field,), items))
+
+    @pytest.mark.parametrize("verdict", list(Verdict))
+    def test_every_verdict_word_round_trips(self, sample_values, verdict):
+        outcome = sample_values["certify"]
+        again = Certification(outcome.ell, outcome.eps, False, verdict, 0)
+        line = render_record(again)
+        assert json.loads(line)["direct"] == verdict.name.lower()
+        assert parse_record(line) == again
+
+    @pytest.mark.parametrize("word", ["LESS", "equal-as-rationals", "less ", "tie"])
+    def test_direct_is_only_a_verdict_word(self, sample_lines, word):
+        with pytest.raises(RecordError, match="direct: expected a verdict"):
+            parse_record(_with(sample_lines["certify"], ("direct",), word))
+
+    @pytest.mark.parametrize("rule", ["all", "BF", "", "star "])
+    def test_depth_rule_is_one_of_three(self, sample_lines, rule):
+        with pytest.raises(RecordError, match="rule: expected one of bf, ps, star"):
+            parse_record(_with(sample_lines["depth"], ("rule",), rule))

@@ -665,3 +665,72 @@ class TestInstanceFormat:
     def test_top_level_must_be_object(self):
         with pytest.raises(InstanceFormatError, match="top level"):
             parse_instance("[1, 2]")
+
+    @pytest.mark.parametrize(
+        "weight",
+        ['"0.%s1"' % ("0" * 300_000), "0.%s1" % ("0" * 300_000), "1" * 300_001],
+        ids=["string", "number", "integer"],
+    )
+    def test_long_weight_refused_at_once(self, weight, tmp_path):
+        # every spelling builds a 300,001-digit rational; the CLI raises the
+        # interpreter's int digit cap, so the integer reaches the weight check
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"universe": {"a": %s}, "ground": {"e1": ["a"]}, '
+            '"matroid": {"type": "uniform", "rank": 1}}' % weight
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(parse_instance.__code__.co_filename)))
+        done = subprocess.run(
+            [sys.executable, "-m", "ellplan.cli", "testbed", "--instance", str(path),
+             "--eps", "1e-1"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=20,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "error: universe.a: weight has more than 8600 digits\n"
+
+    @pytest.mark.parametrize("spell", ["{}", '"{}"'])
+    def test_digit_limit_is_8600_written_out(self, spell):
+        def weight(text):
+            return parse_instance(
+                '{"universe": {"a": %s}, "ground": {"e1": ["a"]}, '
+                '"matroid": {"type": "uniform", "rank": 1}}' % spell.format(text)
+            ).universe[0][1]
+
+        assert weight("0." + "0" * 8599 + "1") == Fraction(1, 10**8600)
+        assert weight("9" * 8599 + ".5") == 10**8599 - Fraction(1, 2)
+        # a 4,300-digit mantissa at either end of the exponent range
+        assert weight("1" * 4300 + "e4300") == int("1" * 4300) * 10**4300
+        assert weight("0." + "1" * 4300 + "e-4300") == Fraction(int("1" * 4300), 10**8600)
+        for text in ("0." + "0" * 8600 + "1", "1" * 8600 + ".5", "1" * 4301 + "e4300",
+                     "0." + "1" * 4301 + "e-4300", "1." + "1" * 8600 + "e1"):
+            with pytest.raises(InstanceFormatError, match="universe.a: weight has more than 8600"):
+                weight(text)
+
+    def test_digit_limit_skips_zeros_that_lead_the_integer_part(self):
+        assert _as_weight("0" * 9000 + "7", "w") == 7
+        assert _as_weight("-0_0" + "0" * 9000 + "1.5", "w") == Fraction(-3, 2)
+        assert _as_weight("0" * 9000 + ".5e1", "w") == 5
+        with pytest.raises(InstanceFormatError, match="w: weight has more"):
+            _as_weight("0" * 9000 + "1" * 8601, "w")
+
+    def test_digit_limit_for_a_json_integer(self):
+        # the tests run under a raised int digit cap, as the CLI does
+        text = (
+            '{"universe": {"a": %s}, "ground": {"e1": ["a"]}, '
+            '"matroid": {"type": "uniform", "rank": 1}}'
+        )
+        assert parse_instance(text % ("9" * 8600)).universe[0][1] == 10**8600 - 1
+        with pytest.raises(InstanceFormatError, match="universe.a: weight has more"):
+            parse_instance(text % ("9" * 8601))
+
+    @pytest.mark.parametrize(
+        "weight", ["1e-4300", "1e4300", "0.%se-4300" % ("1" * 4300), "9" * 8600],
+        ids=["tiny", "huge", "long-tiny", "long"],
+    )
+    def test_weight_at_the_limits_round_trips(self, weight):
+        instance = parse_instance(
+            '{"universe": {"a": "%s"}, "ground": {"e1": ["a"]}, '
+            '"matroid": {"type": "uniform", "rank": 1}}' % weight
+        )
+        assert parse_instance(json.dumps(instance_to_jsonable(instance))) == instance

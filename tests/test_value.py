@@ -35,8 +35,17 @@ from ellplan.costs import (
     TableRow,
     savings_factor,
 )
-from ellplan.planner import plan
-from ellplan.records import InstanceCheck
+from ellplan.planner import depth_comparison, plan
+from ellplan.records import (
+    Certification,
+    Depth,
+    ExpansionPoint,
+    InstanceCheck,
+    LogCheckSummary,
+    Note,
+    SweepSummary,
+    TableCheckResult,
+)
 from ellplan.testbed import (
     OracleCounter,
     PartitionMatroid,
@@ -85,6 +94,15 @@ def _examples() -> list:
         check,
         ratio_report(greedy_gap, plan("1e-1"), seed=11),
         InstanceCheck.from_check("greedy_gap", check),
+        Depth(depth_plan.eps, "star", depth_plan.ell_star),
+        SweepSummary.from_report(sweep),
+        Note("at ell = 1 the chain genuinely breaks"),
+        LogCheckSummary.from_points("log_weak", 3, [], [Fraction(1, 2)]),
+        ExpansionPoint.from_entry(expansion.entries[0], expansion.envelope),
+        Certification.from_comparison(
+            18, depth_plan.eps, True, depth_comparison(18, depth_plan.eps)
+        ),
+        TableCheckResult.from_check(TableCheck((mismatch,))),
     ]
 
 
