@@ -508,6 +508,11 @@ class Verdict(Enum):
     EQUAL = "equal-as-rationals"
     UNRESOLVED = "unresolved"
 
+    @property
+    def word(self) -> str:
+        """The verdict as one lower-case word, in text and structured output."""
+        return self.name.lower()
+
 
 class Comparison(Frozen):
     """Outcome of a certified comparison.

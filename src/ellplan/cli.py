@@ -172,10 +172,6 @@ def _policy_of(args) -> certified.RefinementPolicy:
     return certified.RefinementPolicy(start_bits=start, cap_bits=cap)
 
 
-def _verdict_word(verdict: certified.Verdict) -> str:
-    return verdict.name.lower()
-
-
 # ---------------------------------------------------------------------------
 # plan
 
@@ -269,7 +265,7 @@ def _cmd_verify(args, policy: certified.RefinementPolicy, out) -> int:
         exception = bounds.ordering_exception_at_one(policy)
         note = (
             "at ell = 1 the chain genuinely breaks: sharp > polya-szego "
-            f"(certified {_verdict_word(exception.verdict)}, {exception.bits_used} bits)"
+            f"(certified {exception.verdict.word}, {exception.bits_used} bits)"
         )
         if args.format == "structured":
             print(records.render_record(records.Note(note)), file=out)
@@ -383,7 +379,7 @@ def _cmd_certify(args, policy: certified.RefinementPolicy, out) -> int:
         }[direct.verdict]
         print(
             f"direct comparison phi({args.ell}) vs 1/e + {spec}: "
-            f"{_verdict_word(direct.verdict)} ({meaning}; {direct.bits_used} bits)",
+            f"{direct.verdict.word} ({meaning}; {direct.bits_used} bits)",
             file=out,
         )
     if direct.verdict is certified.Verdict.LESS:

@@ -10,8 +10,10 @@ anything unfamiliar: a key given twice is refused by name; every field's
 JSON type is checked (``true`` is not an int); rationals parse only as the
 exact "num/den" text ``str(Fraction)`` writes, so exponent text such as
 ``1e-9`` is refused before any arithmetic; a word field such as a verdict
-takes only its words; a missing or unknown field is refused by name; and a
-value its class refuses, such as ``eps <= 0``, is refused at its path.
+takes only its words; a missing or unknown field is refused by name; a
+value its class refuses, such as ``eps <= 0``, is refused at its path; and
+fields that disagree, such as a summary flag that is true beside a
+non-empty list of failures, are refused by the record's kind.
 """
 
 from __future__ import annotations
@@ -84,6 +86,10 @@ class SweepSummary(Frozen):
     inconclusive: tuple[int, ...]
     max_bits: int
 
+    def __post_init__(self):
+        if self.all_ok != (not self.failures and not self.inconclusive):
+            raise ValueError("all_ok disagrees with failures and inconclusive")
+
     @classmethod
     def from_report(cls, report: bounds.SweepReport) -> "SweepSummary":
         return cls(
@@ -111,6 +117,10 @@ class LogCheckSummary(Frozen):
     all_ok: bool
     failures: tuple[Fraction, ...]
     inconclusive: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if self.all_ok != (not self.failures and not self.inconclusive):
+            raise ValueError("all_ok disagrees with failures and inconclusive")
 
     @classmethod
     def from_points(cls, name: str, points: int, failures, inconclusive) -> "LogCheckSummary":
@@ -157,6 +167,10 @@ class TableCheckResult(Frozen):
     ok: bool
     mismatches: tuple[costs.CellMismatch, ...]
 
+    def __post_init__(self):
+        if self.ok != (not self.mismatches):
+            raise ValueError("ok disagrees with mismatches")
+
     @classmethod
     def from_check(cls, check: costs.TableCheck) -> "TableCheckResult":
         return cls(check.ok, check.mismatches)
@@ -191,7 +205,7 @@ def _choice(*words: str):
 
 
 def _parse_verdict(text, path: str):
-    verdicts = {verdict.name.lower(): verdict for verdict in certified.Verdict}
+    verdicts = {verdict.word: verdict for verdict in certified.Verdict}
     if type(text) is not str or text not in verdicts:
         raise RecordError(f"{path}: expected a verdict, one of {', '.join(verdicts)}")
     return verdicts[text]
@@ -290,7 +304,7 @@ _STR = _exactly(str)
 _RATIONAL = (str, _parse_rational)
 _EPS = (str, lambda text, path: planner.EpsSpec(_parse_rational(text, path)))
 _NAMES = (list, _parse_names)
-_VERDICT = (lambda verdict: verdict.name.lower(), _parse_verdict)
+_VERDICT = (lambda verdict: verdict.word, _parse_verdict)
 _ENCLOSURE = _object(
     {"lo": _RATIONAL, "hi": _RATIONAL},
     lambda lo, hi: certified.Enclosure(lo, hi),
@@ -382,13 +396,13 @@ def render_record(obj) -> str:
     return render_line(kind, _render_fields(fields, (getattr(obj, f) for f in fields)))
 
 
-def _refuse_duplicates(pairs: list) -> dict:
-    doc = dict(pairs)
-    if len(doc) != len(pairs):
-        keys = [key for key, _ in pairs]
-        duplicate = next(key for key in keys if keys.count(key) > 1)
-        raise RecordError(f"duplicate key {duplicate!r}")
-    return doc
+def _refuse_duplicates(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise RecordError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
 
 
 def parse_record(line: str):
@@ -410,7 +424,10 @@ def parse_record(line: str):
     module, name, fields = _KINDS[kind]
     payload = {k: v for k, v in doc.items() if k not in ("schema", "kind")}
     values = _parse_fields(payload, "", fields)
-    return getattr(importlib.import_module(module), name)(**values)
+    try:
+        return getattr(importlib.import_module(module), name)(**values)
+    except ValueError as exc:  # the class refuses how its fields combine
+        raise RecordError(f"{kind}: {exc}") from exc
 
 
 def parse_records(text: str) -> list:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import sys
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -630,13 +629,9 @@ class _JsonNumber(Frozen):
 
 
 def _json_int(text: str):
-    # a literal past the interpreter's int digit cap fails in int() as it
-    # did in json; a long one under a raised cap stays text, so a weight's
-    # digit limit refuses it before int() spends quadratic time on it
-    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if len(text) <= _MAX_DIGITS or 0 < cap < len(text.lstrip("-")):
-        return int(text)
-    return _JsonNumber(text)
+    # a literal too long for any weight stays text, so the digit limit
+    # refuses it before int() spends quadratic time on it
+    return int(text) if len(text) <= _MAX_DIGITS else _JsonNumber(text)
 
 
 def _plain_digits(mantissa: str, exponent: int) -> int:

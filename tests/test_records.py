@@ -394,6 +394,28 @@ class TestFieldChecks:
         with pytest.raises(RecordError, match=rf"^{field}\[{index}\]"):
             parse_record(_with(sample_lines[kind], (field,), items))
 
+    @pytest.mark.parametrize(
+        "kind,flag,field,items",
+        [("sweep", "all_ok", "failures", [4]), ("sweep", "all_ok", "inconclusive", [9]),
+         ("log-check", "all_ok", "failures", ["1/4"]),
+         ("log-check", "all_ok", "inconclusive", ["3/4"]),
+         ("table-check", "ok", "mismatches",
+          [{"row": "1e-1", "column": "ell_bf", "expected": "12", "got": "11"}])],
+    )
+    def test_flag_that_disagrees_with_its_lists_rejected(
+        self, sample_lines, kind, flag, field, items
+    ):
+        # true beside a non-empty list, and false beside all-empty lists
+        clean = sample_lines[kind]
+        for name in ("failures", "inconclusive", "mismatches"):
+            if f'"{name}"' in clean:
+                clean = _with(clean, (name,), [])
+        agreeing = _with(clean, (flag,), True)
+        assert parse_record(agreeing)
+        for line in (_with(agreeing, (field,), items), _with(clean, (flag,), False)):
+            with pytest.raises(RecordError, match=rf"^{kind}: {flag} disagrees"):
+                parse_record(line)
+
     @pytest.mark.parametrize("verdict", list(Verdict))
     def test_every_verdict_word_round_trips(self, sample_values, verdict):
         outcome = sample_values["certify"]
