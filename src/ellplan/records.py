@@ -4,16 +4,18 @@ One object per line, every line self-describing: a schema version, a kind
 tag, then the payload.  ``_KINDS`` declares each kind's payload once: the
 fields of its value class, in order, each with a codec, a (render, parse)
 pair for one wire type.  Every structured line the CLI writes is one of
-these kinds.  Rendering and parsing are one loop over that table, and
+these kinds.  Rendering and parsing are one loop over that table, with the
+codecs instance files are read with too (``ellplan._codecs``), and
 parse(render(x)) == x for every kind.  Parsing raises ``RecordError`` on
 anything unfamiliar: a key given twice is refused by name; every field's
 JSON type is checked (``true`` is not an int); rationals parse only as the
 exact "num/den" text ``str(Fraction)`` writes, so exponent text such as
-``1e-9`` is refused before any arithmetic; a word field such as a verdict
-takes only its words; a missing or unknown field is refused by name; a
-value its class refuses, such as ``eps <= 0``, is refused at its path; and
-fields that disagree, such as a summary flag that is true beside a
-non-empty list of failures, are refused by the record's kind.
+``1e-9`` is refused before any arithmetic, as is a ``pow2`` of more than
+``costs.POW2_DIGITS`` digits; a word field takes only its words; a missing or
+unknown field is refused by name; a value its class refuses, such as
+``eps <= 0``, is refused at its path; and fields that disagree, such as a
+summary flag that is true beside a non-empty list of failures, are refused
+by the record's kind.
 """
 
 from __future__ import annotations
@@ -27,9 +29,14 @@ from typing import Optional
 # modules, not names: a module runs at its first use here (see ellplan),
 # and a function replaced in its defining module is the one called
 from ellplan import bounds, certified, costs, planner, testbed
+from ellplan._codecs import (
+    BOOL, INT, STR, FieldError, _JsonNumber, built, choice, list_of, names,
+    object_of, optional, parse_fields, parse_int, read, render_fields, unbounded,
+)
 from ellplan._value import Frozen
 
 SCHEMA_VERSION = 2
+_SCHEMA = _JsonNumber(str(SCHEMA_VERSION))
 
 
 class RecordError(ValueError):
@@ -176,59 +183,11 @@ class TableCheckResult(Frozen):
         return cls(check.ok, check.mismatches)
 
 
-def _same(value):
-    return value
-
-
-def _exactly(wire_type: type):
-    """Codec of a JSON scalar of exactly this type: true is not an int."""
-
-    def parse(value, path: str):
-        if type(value) is not wire_type:
-            raise RecordError(
-                f"{path}: expected {wire_type.__name__}, got {type(value).__name__}"
-            )
-        return value
-
-    return _same, parse
-
-
-def _choice(*words: str):
-    """Codec of a text that is one of ``words``."""
-
-    def parse(text, path: str):
-        if type(text) is not str or text not in words:
-            raise RecordError(f"{path}: expected one of {', '.join(words)}")
-        return text
-
-    return _same, parse
-
-
 def _parse_verdict(text, path: str):
     verdicts = {verdict.word: verdict for verdict in certified.Verdict}
     if type(text) is not str or text not in verdicts:
-        raise RecordError(f"{path}: expected a verdict, one of {', '.join(verdicts)}")
+        raise FieldError(f"{path}: expected a verdict, one of {', '.join(verdicts)}")
     return verdicts[text]
-
-
-def _list(codec):
-    """Codec of a JSON list of values of one codec; it parses to a tuple."""
-    render, parse = codec
-
-    def parse_list(items, path: str) -> tuple:
-        if type(items) is not list:
-            raise RecordError(f"{path}: expected a list")
-        return tuple(parse(item, f"{path}[{i}]") for i, item in enumerate(items))
-
-    return (lambda values: [render(value) for value in values]), parse_list
-
-
-def _optional(codec):
-    render, parse = codec
-    return (
-        lambda value: None if value is None else render(value),
-        lambda value, path: None if value is None else parse(value, path),
-    )
 
 
 # the form str(Fraction) writes, with no zero denominator; [0-9], since \d
@@ -238,57 +197,13 @@ _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 def _parse_rational(text, path: str) -> Fraction:
     if type(text) is not str or not _RATIONAL_TEXT.fullmatch(text):
-        raise RecordError(f"{path}: expected rational text num/den")
-    return Fraction(text)
+        raise FieldError(f"{path}: expected rational text num/den")
+    return unbounded(Fraction, text, path)
 
 
-def _parse_names(names, path: str) -> tuple[str, ...]:
-    if type(names) is not list or not all(type(n) is str for n in names):
-        raise RecordError(f"{path}: expected a list of names")
-    return tuple(names)
-
-
-def _parse_fields(obj, path: str, fields: dict) -> dict:
-    """Each declared field of a JSON object, parsed by its codec.
-
-    The object's keys must be exactly the declared ones.  A value that a
-    value class refuses with ValueError becomes a RecordError at its path.
-    """
-    where = f"{path}: " if path else ""
-    if type(obj) is not dict:
-        raise RecordError(f"{where}expected an object")
-    for name in fields:
-        if name not in obj:
-            raise RecordError(f"{where}record missing field {name!r}")
-    unknown = obj.keys() - fields.keys()
-    if unknown:
-        raise RecordError(f"{where}unknown field(s) {sorted(unknown)}")
-    values = {}
-    for name, (_, parse) in fields.items():
-        at = f"{path}.{name}" if path else name
-        try:
-            values[name] = parse(obj[name], at)
-        except RecordError:
-            raise
-        except ValueError as exc:
-            raise RecordError(f"{at}: {exc}") from exc
-    return values
-
-
-def _render_fields(fields: dict, parts) -> dict:
-    """Each declared field's wire form; ``parts`` are the values, in order."""
-    return {
-        name: render(part) for (name, (render, _)), part in zip(fields.items(), parts)
-    }
-
-
-def _object(fields: dict, build, parts):
-    """Codec of a nested JSON object: ``parts(value)`` gives the field values
-    in declared order, and ``build`` takes them back."""
-    return (
-        lambda value: _render_fields(fields, parts(value)),
-        lambda obj, path: build(*_parse_fields(obj, path, fields).values()),
-    )
+def _parse_pow2(value, path: str) -> int:
+    # costs' limit, read here so that importing records runs no costs code
+    return parse_int(value, path, costs.POW2_DIGITS)
 
 
 def _magnitude(pow2: int, mantissa: str, exponent: int) -> costs.BigMagnitude:
@@ -298,82 +213,72 @@ def _magnitude(pow2: int, mantissa: str, exponent: int) -> costs.BigMagnitude:
     return mag
 
 
-_INT = _exactly(int)
-_BOOL = _exactly(bool)
-_STR = _exactly(str)
 _RATIONAL = (str, _parse_rational)
-_EPS = (str, lambda text, path: planner.EpsSpec(_parse_rational(text, path)))
-_NAMES = (list, _parse_names)
+_EPS = (str, lambda text, path: built(planner.EpsSpec, (_parse_rational(text, path),), path))
+_NAMES = names(tuple)
 _VERDICT = (lambda verdict: verdict.word, _parse_verdict)
-_ENCLOSURE = _object(
-    {"lo": _RATIONAL, "hi": _RATIONAL},
-    lambda lo, hi: certified.Enclosure(lo, hi),
-    lambda enc: (enc.lo, enc.hi),
-)
-_MAGNITUDE = _object(
-    {"pow2": _INT, "mantissa": _STR, "exponent": _INT},
+_ENCLOSURE = object_of({"lo": _RATIONAL, "hi": _RATIONAL}, lambda *p: certified.Enclosure(*p))
+_MAGNITUDE = object_of(
+    {"pow2": (INT[0], _parse_pow2), "mantissa": STR, "exponent": INT},
     _magnitude,
     lambda mag: (mag.pow2, mag.sci_mantissa, mag.sci_exponent),
 )
 # a witness is a tuple of its parts, in the order of their fields
-_MONOTONE_WITNESS = _optional(
-    _object({"s": _NAMES, "t": _NAMES}, lambda *parts: parts, _same)
+_MONOTONE_WITNESS = optional(object_of({"s": _NAMES, "t": _NAMES}, lambda *p: p, tuple))
+_SUBMODULAR_WITNESS = optional(
+    object_of({"s": _NAMES, "t": _NAMES, "x": STR}, lambda *p: p, tuple)
 )
-_SUBMODULAR_WITNESS = _optional(
-    _object({"s": _NAMES, "t": _NAMES, "x": _STR}, lambda *parts: parts, _same)
-)
-_MISMATCH = _object(
-    {"row": _STR, "column": _STR, "expected": _STR, "got": _STR},
+_MISMATCH = object_of(
+    {"row": STR, "column": STR, "expected": STR, "got": STR},
     lambda *parts: costs.CellMismatch(*parts),
-    lambda cell: (cell.row, cell.column, cell.expected, cell.got),
 )
 
 # kind -> (defining module, class name, {field: codec}), the fields in the
 # class's order; keyed by names, so building it loads no value class
 _KINDS = {
     "plan": ("ellplan.planner", "EllPlan", {
-        "eps": _EPS, "ell_bf": _INT, "ell_ps": _INT, "ell_star": _INT,
-        "rho_star": _RATIONAL, "certificate_holds_at_star": _BOOL,
-        "precision_used": _INT,
+        "eps": _EPS, "ell_bf": INT, "ell_ps": INT, "ell_star": INT,
+        "rho_star": _RATIONAL, "certificate_holds_at_star": BOOL,
+        "precision_used": INT,
     }),
     "table-row": ("ellplan.costs", "TableRow", {
-        "eps": _EPS, "ell_bf": _INT, "ell_ps": _INT, "ell_star": _INT,
+        "eps": _EPS, "ell_bf": INT, "ell_ps": INT, "ell_star": INT,
         "factor_ps": _MAGNITUDE, "factor_star": _MAGNITUDE,
     }),
     "ratio-report": ("ellplan.testbed", "RatioReport", {
-        "eps": _EPS, "ell_star": _INT, "rho_star": _RATIONAL, "rho_certified": _BOOL,
+        "eps": _EPS, "ell_star": INT, "rho_star": _RATIONAL, "rho_certified": BOOL,
         "threshold": _ENCLOSURE, "f_opt": _RATIONAL, "opt_set": _NAMES,
         "target_value": _RATIONAL, "greedy_value": _RATIONAL, "greedy_set": _NAMES,
-        "empirical_ratio": _RATIONAL, "oracle_calls_brute": _INT,
-        "oracle_calls_greedy": _INT, "algorithm_output": _STR,
-        "seed": _optional(_INT),
+        "empirical_ratio": _RATIONAL, "oracle_calls_brute": INT,
+        "oracle_calls_greedy": INT, "algorithm_output": STR,
+        "seed": optional(INT),
     }),
     "property-check": (__name__, "InstanceCheck", {
-        "instance": _STR, "ok": _BOOL, "monotone_witness": _MONOTONE_WITNESS,
+        "instance": STR, "ok": BOOL, "monotone_witness": _MONOTONE_WITNESS,
         "submodular_witness": _SUBMODULAR_WITNESS,
     }),
     "depth": (__name__, "Depth", {
-        "eps": _EPS, "rule": _choice("bf", "ps", "star"), "ell": _INT,
+        "eps": _EPS, "rule": choice("bf", "ps", "star"), "ell": INT,
     }),
     "sweep": (__name__, "SweepSummary", {
-        "label": _STR, "checked": _INT, "all_ok": _BOOL, "failures": _list(_INT),
-        "inconclusive": _list(_INT), "max_bits": _INT,
+        "label": STR, "checked": INT, "all_ok": BOOL, "failures": list_of(INT),
+        "inconclusive": list_of(INT), "max_bits": INT,
     }),
-    "note": (__name__, "Note", {"text": _STR}),
+    "note": (__name__, "Note", {"text": STR}),
     "log-check": (__name__, "LogCheckSummary", {
-        "name": _STR, "points": _INT, "all_ok": _BOOL, "failures": _list(_RATIONAL),
-        "inconclusive": _list(_RATIONAL),
+        "name": STR, "points": INT, "all_ok": BOOL, "failures": list_of(_RATIONAL),
+        "inconclusive": list_of(_RATIONAL),
     }),
     "expansion": (__name__, "ExpansionPoint", {
-        "ell": _INT, "scaled_lo": _RATIONAL, "scaled_hi": _RATIONAL,
-        "envelope": _RATIONAL, "ok": _BOOL,
+        "ell": INT, "scaled_lo": _RATIONAL, "scaled_hi": _RATIONAL,
+        "envelope": _RATIONAL, "ok": BOOL,
     }),
     "certify": (__name__, "Certification", {
-        "ell": _INT, "eps": _EPS, "certificate_holds": _BOOL, "direct": _VERDICT,
-        "bits": _INT,
+        "ell": INT, "eps": _EPS, "certificate_holds": BOOL, "direct": _VERDICT,
+        "bits": INT,
     }),
     "table-check": (__name__, "TableCheckResult", {
-        "ok": _BOOL, "mismatches": _list(_MISMATCH),
+        "ok": BOOL, "mismatches": list_of(_MISMATCH),
     }),
 }
 
@@ -393,41 +298,26 @@ def render_record(obj) -> str:
     if kind is None:
         raise RecordError(f"no record form for {cls.__name__}")
     fields = _KINDS[kind][2]
-    return render_line(kind, _render_fields(fields, (getattr(obj, f) for f in fields)))
+    return render_line(kind, render_fields(fields, (getattr(obj, f) for f in fields)))
 
 
-def _refuse_duplicates(pairs) -> dict:
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise RecordError(f"duplicate key {key!r}")
-        out[key] = value
-    return out
+def _parse_line(doc, path: str):
+    if type(doc) is not dict:
+        raise FieldError("record line must be an object")
+    if (schema := doc.pop("schema", None)) != _SCHEMA:  # a number, shown as written
+        raise FieldError(f"unsupported schema {getattr(schema, 'text', repr(schema))}")
+    kind = doc.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise FieldError(f"unknown record kind {kind!r}")
+    module, name, fields = _KINDS[kind]
+    cls = getattr(importlib.import_module(module), name)
+    # a class that refuses how its fields combine is refused by the kind
+    return built(cls, parse_fields(doc, path, fields).values(), kind)
 
 
 def parse_record(line: str):
     """Inverse of render_record; raises RecordError on anything unfamiliar."""
-    try:
-        doc = json.loads(line, object_pairs_hook=_refuse_duplicates)
-    except RecordError:
-        raise
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit cap
-        raise RecordError(f"not a record line: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise RecordError("record line must be an object")
-    schema = doc.get("schema")
-    if type(schema) is not int or schema != SCHEMA_VERSION:
-        raise RecordError(f"unsupported schema {schema!r}")
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise RecordError(f"unknown record kind {kind!r}")
-    module, name, fields = _KINDS[kind]
-    payload = {k: v for k, v in doc.items() if k not in ("schema", "kind")}
-    values = _parse_fields(payload, "", fields)
-    try:
-        return getattr(importlib.import_module(module), name)(**values)
-    except ValueError as exc:  # the class refuses how its fields combine
-        raise RecordError(f"{kind}: {exc}") from exc
+    return read(line, _parse_line, RecordError, "not a record line")
 
 
 def parse_records(text: str) -> list:

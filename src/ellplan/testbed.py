@@ -13,7 +13,6 @@ the certified targets and classical baselines around that hole.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from fractions import Fraction
@@ -21,9 +20,10 @@ from functools import cached_property
 from math import lcm
 from typing import AbstractSet, Callable, Iterable, Optional, Union
 
+from ellplan._codecs import INT, WEIGHT, list_of, mapping, names, object_of, read, tagged
 from ellplan._value import Frozen
 from ellplan.certified import Enclosure, enclose_e
-from ellplan.planner import EllPlan, EpsSpec, _terminating_decimal
+from ellplan.planner import EllPlan, EpsSpec
 
 BRUTE_FORCE_LIMIT = 20  # 2^n enumeration
 CHECK_LIMIT = 12  # 2^n values, n^2 local checks each
@@ -49,8 +49,8 @@ class UniformMatroid(Frozen):
     rank: int
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 0:
-            raise ValueError(f"rank must be a nonnegative integer, got {self.rank!r}")
+        if type(self.rank) is not int or self.rank < 0:
+            raise ValueError(f"rank: expected a nonnegative integer, got {self.rank!r}")
 
     def is_independent(self, names: AbstractSet[str]) -> bool:
         return len(names) <= self.rank
@@ -62,24 +62,21 @@ class PartitionBlock(Frozen):
 
     def __post_init__(self):
         if not self.members:
-            raise ValueError("partition block must be non-empty")
-        if (
-            not isinstance(self.capacity, int)
-            or isinstance(self.capacity, bool)
-            or self.capacity < 0
-        ):
-            raise ValueError(f"capacity must be a nonnegative integer, got {self.capacity!r}")
+            raise ValueError("members: expected a non-empty set")
+        if type(self.capacity) is not int or self.capacity < 0:
+            raise ValueError(f"capacity: expected a nonnegative integer, got {self.capacity!r}")
 
 
 class PartitionMatroid(Frozen):
     blocks: tuple[PartitionBlock, ...]
 
     def __post_init__(self):
+        if not self.blocks:
+            raise ValueError("blocks: expected a non-empty list")
         seen: set[str] = set()
-        for block in self.blocks:
-            overlap = seen & block.members
-            if overlap:
-                raise ValueError(f"blocks overlap on {sorted(overlap)}")
+        for i, block in enumerate(self.blocks):
+            if overlap := seen & block.members:
+                raise ValueError(f"blocks[{i}]: overlaps an earlier block on {sorted(overlap)}")
             seen |= block.members
 
     @cached_property
@@ -131,8 +128,7 @@ class CoverageInstance(Frozen):
             raise ValueError("duplicate ground element names")
         items = set(item_names)
         for name, members in self.ground:
-            stray = members - items
-            if stray:
+            if stray := members - items:
                 raise ValueError(f"ground.{name}: unknown items {sorted(stray)}")
         if isinstance(self.matroid, UniformMatroid):
             if self.matroid.rank > self.n:
@@ -142,11 +138,9 @@ class CoverageInstance(Frozen):
         else:
             covered = self.matroid.covered_names
             ground_set = set(element_names)
-            missing = ground_set - covered
-            stray = covered - ground_set
-            if missing:
+            if missing := ground_set - covered:
                 raise ValueError(f"matroid.blocks: elements {sorted(missing)} uncovered")
-            if stray:
+            if stray := covered - ground_set:
                 raise ValueError(f"matroid.blocks: unknown elements {sorted(stray)}")
 
     @property
@@ -586,174 +580,25 @@ def generate_random_instance(
     return CoverageInstance(universe, ground, matroid)
 
 
-def _decimal_text(value: Fraction) -> str:
-    decimal = _terminating_decimal(value)
-    if decimal is None:
-        raise ValueError(f"{value} has no terminating decimal form")
-    digits, k = decimal
-    if k == 0:
-        return str(digits)
-    text = str(digits).rjust(k + 1, "0")
-    return f"{text[:-k]}.{text[-k:]}"
-
-
-def _reject_duplicates(pairs):
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise InstanceFormatError(f"duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
-def _require_keys(obj: dict, path: str, required: set[str]) -> None:
-    missing = required - obj.keys()
-    unknown = obj.keys() - required
-    if missing:
-        raise InstanceFormatError(f"{path}: missing field(s) {sorted(missing)}")
-    if unknown:
-        raise InstanceFormatError(f"{path}: unknown field(s) {sorted(unknown)}")
-
-
-_MAX_EXPONENT = 4300  # json's int-literal digit cap; Fraction builds 10**exponent
-# digits of a weight written out in plain decimal: room for a mantissa of
-# json's 4,300-digit cap at any exponent the limit above admits
-_MAX_DIGITS = 2 * _MAX_EXPONENT
-
-
-class _JsonNumber(Frozen):
-    """A JSON number's text, read once its field path is known: every
-    non-integer number, and every integer literal too long to build."""
-
-    text: str
-
-
-def _json_int(text: str):
-    # a literal too long for any weight stays text, so the digit limit
-    # refuses it before int() spends quadratic time on it
-    return int(text) if len(text) <= _MAX_DIGITS else _JsonNumber(text)
-
-
-def _plain_digits(mantissa: str, exponent: int) -> int:
-    """The digits of mantissa * 10**exponent written out in plain decimal,
-    less the zeros that lead it: exact at exponent 0, else an upper bound."""
-    whole, _, fraction = mantissa.strip().lstrip("+-").partition(".")
-    whole_digits = sum(map(str.isdigit, whole.lstrip("0_")))
-    fraction_digits = sum(map(str.isdigit, fraction))
-    return max(whole_digits + exponent, 0) + max(fraction_digits - exponent, 0)
-
-
-def _as_weight(value, path: str) -> Fraction:
-    if isinstance(value, _JsonNumber):
-        value = value.text
-    if isinstance(value, str):
-        # exact-decimal text form, what instance_to_jsonable emits
-        mantissa, _, exponent = value.lower().partition("e")
-        magnitude = exponent.replace("_", "").strip().lstrip("+-").lstrip("0")
-        if magnitude.isdecimal() and (len(magnitude) > 4 or int(magnitude) > _MAX_EXPONENT):
-            raise InstanceFormatError(
-                f"{path}: weight's decimal exponent exceeds {_MAX_EXPONENT}"
-            )
-        try:
-            shift = int(exponent or 0)
-        except ValueError:
-            shift = 0  # not a decimal, which Fraction refuses below
-        if _plain_digits(mantissa, shift) > _MAX_DIGITS:
-            raise InstanceFormatError(f"{path}: weight has more than {_MAX_DIGITS} digits")
-        try:
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceFormatError(f"{path}: bad weight text {value!r}") from exc
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise InstanceFormatError(f"{path}: weight must be a decimal number")
-    return Fraction(value)
-
-
-def _as_name_list(value, path: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise InstanceFormatError(f"{path}: expected a list of names")
-    if len(set(value)) != len(value):
-        raise InstanceFormatError(f"{path}: duplicate names")
-    return value
+# the file format: the instance's fields, each with its codec; a value a
+# class refuses is refused at its field's path
+_NAME_SET = names(frozenset)
+_MATROID = tagged("type", {
+    "uniform": (UniformMatroid, {"rank": INT}),
+    "partition": (PartitionMatroid, {
+        "blocks": list_of(object_of({"members": _NAME_SET, "capacity": INT}, PartitionBlock)),
+    }),
+})
+_INSTANCE = object_of(
+    {"universe": mapping(WEIGHT), "ground": mapping(_NAME_SET), "matroid": _MATROID},
+    CoverageInstance,
+)
 
 
 def parse_instance(text: str) -> CoverageInstance:
     """Parse the structured instance format; weights become exact rationals.
-
-    Unknown or missing fields are rejected with the offending field path.
-    """
-    try:
-        raw = json.loads(
-            text, parse_float=_JsonNumber, parse_int=_json_int,
-            object_pairs_hook=_reject_duplicates,
-        )
-    except InstanceFormatError:
-        raise
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit cap
-        raise InstanceFormatError(f"not valid instance text: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InstanceFormatError("top level must be an object")
-    _require_keys(raw, "top level", {"universe", "ground", "matroid"})
-
-    if not isinstance(raw["universe"], dict):
-        raise InstanceFormatError("universe: expected an object of weights")
-    universe = tuple(
-        (name, _as_weight(value, f"universe.{name}"))
-        for name, value in raw["universe"].items()
-    )
-
-    if not isinstance(raw["ground"], dict):
-        raise InstanceFormatError("ground: expected an object of member lists")
-    ground = tuple(
-        (name, frozenset(_as_name_list(members, f"ground.{name}")))
-        for name, members in raw["ground"].items()
-    )
-
-    m = raw["matroid"]
-    if not isinstance(m, dict):
-        raise InstanceFormatError("matroid: expected an object")
-    kind = m.get("type")
-    if kind == "uniform":
-        _require_keys(m, "matroid", {"type", "rank"})
-        rank = m["rank"]
-        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
-            raise InstanceFormatError("matroid.rank: expected a nonnegative integer")
-        matroid: Matroid = UniformMatroid(rank)
-    elif kind == "partition":
-        _require_keys(m, "matroid", {"type", "blocks"})
-        if not isinstance(m["blocks"], list) or not m["blocks"]:
-            raise InstanceFormatError("matroid.blocks: expected a non-empty list")
-        blocks, seen = [], set()
-        for i, entry in enumerate(m["blocks"]):
-            path = f"matroid.blocks[{i}]"
-            if not isinstance(entry, dict):
-                raise InstanceFormatError(f"{path}: expected an object")
-            _require_keys(entry, path, {"members", "capacity"})
-            members = _as_name_list(entry["members"], f"{path}.members")
-            if not members:
-                raise InstanceFormatError(f"{path}.members: expected a non-empty list")
-            shared = seen.intersection(members)
-            if shared:
-                raise InstanceFormatError(
-                    f"{path}: overlaps an earlier block on {sorted(shared)}"
-                )
-            seen.update(members)
-            cap = entry["capacity"]
-            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
-                raise InstanceFormatError(
-                    f"{path}.capacity: expected a nonnegative integer"
-                )
-            blocks.append(PartitionBlock(frozenset(members), cap))
-        matroid = PartitionMatroid(tuple(blocks))
-    else:
-        raise InstanceFormatError(
-            f"matroid.type: expected 'uniform' or 'partition', got {kind!r}"
-        )
-
-    try:
-        return CoverageInstance(universe, ground, matroid)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    Unknown or missing fields, like every other error, name their path."""
+    return read(text, _INSTANCE[1], InstanceFormatError, "not valid instance text")
 
 
 def load_instance(path) -> CoverageInstance:
@@ -779,18 +624,4 @@ def bundled_instance(name: str) -> CoverageInstance:
 
 def instance_to_jsonable(instance: CoverageInstance) -> dict:
     """Inverse of parse_instance, for round-trips and report attachments."""
-    out: dict = {
-        "universe": {name: _decimal_text(w) for name, w in instance.universe},
-        "ground": {name: sorted(members) for name, members in instance.ground},
-    }
-    if isinstance(instance.matroid, UniformMatroid):
-        out["matroid"] = {"type": "uniform", "rank": instance.matroid.rank}
-    else:
-        out["matroid"] = {
-            "type": "partition",
-            "blocks": [
-                {"members": sorted(b.members), "capacity": b.capacity}
-                for b in instance.matroid.blocks
-            ],
-        }
-    return out
+    return _INSTANCE[0](instance)

@@ -284,3 +284,20 @@ def test_only_render_record_calls_render_line():
                     if isinstance(node, ast.Call) and "render_line" in _render_calls(node.func):
                         callers.append(f"{path.name}:{func.name}")
     assert callers == ["records.py:render_record"]
+
+
+def test_only_the_codecs_module_reads_json():
+    # one reader of untrusted text: one duplicate-key hook, one number policy
+    loads, hooks = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "loads" and (
+                    isinstance(func.value, ast.Name) and func.value.id == "json"
+                ):
+                    loads.add(path.name)
+                if any(k.arg == "object_pairs_hook" for k in node.keywords):
+                    hooks.add(path.name)
+    assert (loads, hooks) == ({"_codecs.py"}, {"_codecs.py"})

@@ -60,7 +60,7 @@ def _probe(commands) -> dict:
 def test_text_commands_run_no_costs_testbed_or_records_code():
     seen = _probe(_TEXT_COMMANDS)
     assert seen["codes"] == [0, 0, 0]
-    unused = {"costs", "records", "testbed"}
+    unused = {"costs", "records", "testbed", "_codecs"}
     assert not unused & set(seen["after_commands"]), seen["after_commands"]
     assert {"bounds", "planner", "certified"} <= set(seen["after_commands"])
     # the imports alone run only the CLI and what its definitions need

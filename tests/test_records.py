@@ -1,13 +1,18 @@
 import importlib
+import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+from ellplan import cli
+from ellplan._codecs import FieldError, _JsonNumber
 from ellplan.certified import Verdict
-from ellplan.costs import CellMismatch, reproduce_table
+from ellplan.costs import POW2_DIGITS, BigMagnitude, CellMismatch, reproduce_table
 from ellplan.planner import EpsSpec, plan
 from ellplan.records import (
     _KINDS,
@@ -21,12 +26,15 @@ from ellplan.records import (
     RecordError,
     SweepSummary,
     TableCheckResult,
+    _parse_pow2,
     parse_record,
     parse_records,
     render_line,
     render_record,
 )
-from ellplan.testbed import PropertyCheck, bundled_instance, ratio_report
+from ellplan.testbed import PropertyCheck, bundled_instance, parse_instance, ratio_report
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,22 @@ class TestRoundTrip:
     def test_table_rows(self, sample_rows):
         for row in sample_rows:
             assert parse_record(render_record(row)) == row
+
+    @pytest.mark.parametrize("ground", [("b", "a"), ("e2", "e10")])
+    def test_report_keeps_the_ground_order(self, ground):
+        # opt_set and greedy_set follow the instance's ground order, which
+        # need not be alphabetical; the line keeps that order
+        doc = {
+            "universe": {"x": 1, "y": 1},
+            "ground": {ground[0]: ["x"], ground[1]: ["y"]},
+            "matroid": {"type": "uniform", "rank": 2},
+        }
+        report = ratio_report(parse_instance(json.dumps(doc)), plan("1e-1"))
+        assert report.opt_set == report.greedy_set == ground
+        line = render_record(report)
+        names = json.dumps(list(ground), separators=(",", ":"))
+        assert f'"opt_set":{names}' in line and f'"greedy_set":{names}' in line
+        assert parse_record(line) == report
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="Python 3.10 has no digit cap"
@@ -221,6 +245,51 @@ class TestErrors:
         doc["monotone_witness"] = {"s": ["a"], "t": [3]}
         with pytest.raises(RecordError, match="list of names"):
             parse_record(json.dumps(doc))
+
+    def test_long_pow2_refused_at_once(self, sample_rows):
+        # building 2^d's rendering for a 4,000-digit d took seconds; the
+        # digit limit refuses the text first, in a subprocess with a timeout
+        doc = json.loads(render_record(sample_rows[1]))
+        line = json.dumps(doc).replace('"pow2": 82', '"pow2": ' + "8" * 4000, 1)
+        program = (
+            "import sys, time\n"
+            "from ellplan.records import RecordError, parse_record\n"
+            "line = sys.stdin.read()\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    parse_record(line)\n"
+            "except RecordError as exc:\n"
+            "    print(exc)\n"
+            "print(time.perf_counter() - start)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", program], input=line, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=20,
+        )
+        message, seconds = done.stdout.splitlines()
+        assert message == f"factor_ps.pow2: has more than {POW2_DIGITS} digits"
+        assert float(seconds) < 0.5
+
+    def test_pow2_limit_reads_to_the_last_digit(self):
+        assert _parse_pow2(_JsonNumber("9" * POW2_DIGITS), "p") == 10**POW2_DIGITS - 1
+        with pytest.raises(FieldError, match=f"^p: has more than {POW2_DIGITS} digits$"):
+            _parse_pow2(_JsonNumber("1" + "0" * POW2_DIGITS), "p")
+
+    def test_table_past_the_pow2_limit_writes_nothing(self, capsys):
+        # the table never writes a row that its own reader refuses
+        argv = ["table", "--eps", f"1e-{POW2_DIGITS + 1}", "--precision-cap", "65536",
+                "--format", "structured"]
+        out = io.StringIO()
+        assert cli.main(argv, out=out) == cli.EXIT_USAGE
+        assert out.getvalue() == ""
+        assert f"more than {POW2_DIGITS} digits" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=f"more than {POW2_DIGITS} digits"):
+            BigMagnitude(10**POW2_DIGITS)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000])
+    def test_deep_nesting_is_not_a_record(self, text):
+        with pytest.raises(RecordError, match="not a record"):
+            parse_record(text)
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))

@@ -33,9 +33,13 @@ from ellplan.testbed import (
     parse_instance,
     ratio_report,
 )
-from ellplan.testbed import _Masks, _as_weight, _scan_table
+from ellplan.testbed import _Masks, _scan_table
+from ellplan._codecs import WEIGHT, FieldError
 
 from conftest import mpf_to_fraction
+
+
+_, _as_weight = WEIGHT  # a weight's parse, at a path of the caller's choosing
 
 
 def frac(a, b=1):
@@ -641,7 +645,7 @@ class TestInstanceFormat:
 
     def test_exponent_limit_reads_underscores(self):
         assert _as_weight("1e-00_4_300", "w") == Fraction(1, 10**4300)
-        with pytest.raises(InstanceFormatError, match="w: weight's decimal"):
+        with pytest.raises(FieldError, match="w: weight's decimal"):
             _as_weight("1e-43_01", "w")
 
     def test_duplicate_keys_rejected(self):
@@ -711,7 +715,7 @@ class TestInstanceFormat:
         assert _as_weight("0" * 9000 + "7", "w") == 7
         assert _as_weight("-0_0" + "0" * 9000 + "1.5", "w") == Fraction(-3, 2)
         assert _as_weight("0" * 9000 + ".5e1", "w") == 5
-        with pytest.raises(InstanceFormatError, match="w: weight has more"):
+        with pytest.raises(FieldError, match="w: weight has more"):
             _as_weight("0" * 9000 + "1" * 8601, "w")
 
     def test_digit_limit_for_a_json_integer(self):
@@ -734,3 +738,73 @@ class TestInstanceFormat:
             '"matroid": {"type": "uniform", "rank": 1}}' % weight
         )
         assert parse_instance(json.dumps(instance_to_jsonable(instance))) == instance
+
+    def test_weight_spellings_agree_under_the_default_digit_cap(self):
+        # a fresh interpreter keeps Python's default cap of 4,300 digits per
+        # int-from-str conversion; every spelling of a weight must read the
+        # same there as under the CLI's raised cap
+        program = (
+            "import json, sys\n"
+            "from ellplan.testbed import InstanceFormatError, parse_instance\n"
+            "doc = ('{\"universe\": {\"a\": %s}, \"ground\": {\"e1\": [\"a\"]}, '\n"
+            "       '\"matroid\": {\"type\": \"uniform\", \"rank\": 1}}')\n"
+            "out = {'cap': sys.get_int_max_str_digits()}\n"
+            "for n in (5000, 8600, 8601):\n"
+            "    nines = '9' * n\n"
+            "    for spelling in ('\"%s\"' % nines, nines + 'e0', nines):\n"
+            "        try:\n"
+            "            weight = parse_instance(doc % spelling).universe[0][1]\n"
+            "            got = weight == 10**n - 1\n"
+            "        except InstanceFormatError as exc:\n"
+            "            got = str(exc)\n"
+            "        out.setdefault(str(n), []).append(got)\n"
+            "ten = '1e' + '0' * 4300 + '1'\n"
+            "out['padded'] = [str(parse_instance(doc % spelling).universe[0][1])\n"
+            "                 for spelling in ('\"%s\"' % ten, ten)]\n"
+            "print(json.dumps(out))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(parse_instance.__code__.co_filename)))
+        done = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        refused = "universe.a: weight has more than 8600 digits"
+        assert json.loads(done.stdout) == {
+            "cap": 4300, "5000": [True] * 3, "8600": [True] * 3, "8601": [refused] * 3,
+            # an exponent's leading zeros count neither to its limit nor to the cap
+            "padded": ["10", "10"],
+        }
+
+    def test_empty_block_list_refused(self):
+        doc = {
+            "universe": {"a": 1},
+            "ground": {},
+            "matroid": {"type": "partition", "blocks": []},
+        }
+        with pytest.raises(InstanceFormatError, match="^matroid.blocks: expected a non-empty"):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000])
+    def test_deep_nesting_is_a_format_error(self, text):
+        # json's decoder recurses once per level and raises RecursionError
+        with pytest.raises(InstanceFormatError, match="not valid instance text"):
+            parse_instance(text)
+
+    def test_class_errors_name_their_field_paths(self):
+        doc = {
+            "universe": {"a": 1},
+            "ground": {"e1": ["a"], "e2": ["a"]},
+            "matroid": {"type": "partition", "blocks": [
+                {"members": ["e1"], "capacity": 1},
+                {"members": ["e2"], "capacity": -3},
+            ]},
+        }
+        with pytest.raises(
+            InstanceFormatError,
+            match=r"^matroid.blocks\[1\].capacity: expected a nonnegative integer, got -3$",
+        ):
+            parse_instance(json.dumps(doc))
+        doc["matroid"] = {"type": "uniform", "rank": -1}
+        with pytest.raises(InstanceFormatError, match="^matroid.rank: expected a nonneg"):
+            parse_instance(json.dumps(doc))

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import ellplan
+from ellplan._codecs import _JsonNumber
 from ellplan._value import Frozen
 from ellplan.bounds import (
     BoundKind,
@@ -49,7 +50,6 @@ from ellplan.records import (
 from ellplan.testbed import (
     OracleCounter,
     PartitionMatroid,
-    _JsonNumber,
     _Masks,
     bundled_instance,
     check_monotone_submodular,
