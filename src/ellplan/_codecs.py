@@ -233,10 +233,11 @@ def tagged(tag: str, variants: dict):
     return (lambda value: {tag: words[type(value)], **codecs[words[type(value)]][0](value)}), parse
 
 
-# what Fraction() reads: a decimal with an optional exponent, or p/q
+# the decimals Fraction() reads, with an optional exponent; a weight renders
+# as a terminating decimal, so p/q is refused rather than read
 _DECIMAL_TEXT = (
-    r"(?i)\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<whole>\d*|\d+(_\d+)*)(?:/(?P<den>\d+(_\d+)*)|"
-    r"(?:\.(?P<fraction>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*"
+    r"(?i)\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<whole>\d*|\d+(_\d+)*)"
+    r"(?:\.(?P<fraction>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?\s*"
 )
 
 
@@ -259,10 +260,10 @@ def _parse_weight(value, path: str) -> Fraction:
     match = re.fullmatch(_DECIMAL_TEXT, text)
     if match is None:
         raise FieldError(f"{path}: bad weight text {text!r}")
-    whole, fraction, den, exponent = (
-        (match[group] or "").replace("_", "") for group in ("whole", "fraction", "den", "exp")
+    whole, fraction, exponent = (
+        (match[group] or "").replace("_", "") for group in ("whole", "fraction", "exp")
     )
-    whole, den = whole.lstrip("0"), den.lstrip("0")
+    whole = whole.lstrip("0")
     # the length first, and int() of the digits without their leading zeros:
     # a long exponent would take quadratic time, or pass the int digit cap
     digits = exponent.lstrip("+-").lstrip("0") or "0"
@@ -271,13 +272,10 @@ def _parse_weight(value, path: str) -> Fraction:
     shift = -int(digits) if exponent.startswith("-") else int(digits)
     # the digits written out in plain decimal, less the zeros that lead the
     # integer part: exact at exponent 0, else an upper bound
-    if max(len(whole) + shift, 0) + max(len(fraction) - shift, 0) + len(den) > MAX_DIGITS:
+    if max(len(whole) + shift, 0) + max(len(fraction) - shift, 0) > MAX_DIGITS:
         raise FieldError(f"{path}: weight has more than {MAX_DIGITS} digits")
     numerator = _digits_value(whole + fraction) * 10 ** max(shift, 0)
-    denominator = _digits_value(den) if match["den"] else 10 ** len(fraction)
-    if not denominator:
-        raise FieldError(f"{path}: bad weight text {text!r}")
-    weight = Fraction(numerator, denominator * 10 ** max(-shift, 0))
+    weight = Fraction(numerator, 10 ** (len(fraction) + max(-shift, 0)))
     return -weight if match["sign"] == "-" else weight
 
 

@@ -20,7 +20,8 @@ cmp_certified evaluates the intervals directly.  Fixed-point rounding is not
 monotone in w, so it intersects each rung with the previous one, and the
 intervals it compares are nested as the precision grows.  A Less or Greater
 verdict is only ever produced from two provably disjoint intervals.  No
-floating point appears on any certified path.
+floating point appears on any certified path.  It is the one loop over a
+precision ladder; least_holding walks its verdicts to a least integer.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from ellplan._value import Frozen
 
@@ -609,3 +610,18 @@ def cmp_certified(a, b, policy: RefinementPolicy = DEFAULT_POLICY) -> Comparison
             return Comparison(Verdict.GREATER, bits)
         prev = (w, ia, ib)
     return Comparison(Verdict.UNRESOLVED, policy.cap_bits)
+
+
+def least_holding(holds: Callable[[int], bool], guess: int, least: int) -> int:
+    """The least n >= least with holds(n), for holds false below some n and
+    true from it on.  From guess >= least it steps down while holds or up
+    until it holds: one test a unit the guess is off, plus at most two."""
+    n = guess
+    if holds(n):
+        while n > least and holds(n - 1):
+            n -= 1
+        return n
+    n += 1
+    while not holds(n):
+        n += 1
+    return n

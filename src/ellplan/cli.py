@@ -38,6 +38,9 @@ EXIT_USAGE = 3
 
 _EXPANSION_ELLS = (100, 1000, 10000)
 
+# integer option limits for about 10 s a command, from the costs in README.md
+LMAX_LIMIT, RANDOM_LIMIT, ELL_DIGITS = 100_000, 5_000, 20_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the exit-code contract reserves 2 for
@@ -105,7 +108,8 @@ def _build_parser() -> _Parser:
         "bounds on --grid; expansion: the cubic expansion at 10^2..10^4",
     )
     p_verify.add_argument(
-        "--lmax", type=int, default=1000, help="largest depth to sweep"
+        "--lmax", type=_bounded_int(LMAX_LIMIT), default=1000,
+        help=f"largest depth to sweep (at most {LMAX_LIMIT})",
     )
     p_verify.add_argument(
         "--grid", default="0:10:0.125", metavar="START:STOP:STEP",
@@ -129,7 +133,10 @@ def _build_parser() -> _Parser:
         "certify", parents=[precision], help="check one depth against one slack"
     )
     _add_format(p_certify)
-    p_certify.add_argument("--ell", type=int, required=True)
+    p_certify.add_argument(
+        "--ell", type=_bounded_int(max_digits=ELL_DIGITS), required=True,
+        help=f"depth to check (at most {ELL_DIGITS} digits)",
+    )
     p_certify.add_argument("--eps", required=True)
 
     p_testbed = sub.add_parser(
@@ -147,11 +154,28 @@ def _build_parser() -> _Parser:
         help="shipped instance: %(choices)s",
     )
     source.add_argument(
-        "--random", type=int, metavar="N", help="N seeded random instances"
+        "--random", type=_bounded_int(RANDOM_LIMIT), metavar="N",
+        help=f"N seeded random instances (at most {RANDOM_LIMIT})",
     )
     p_testbed.add_argument("--eps", default="1e-1", help="slack for the target")
 
     return parser
+
+
+def _bounded_int(most: Optional[int] = None, max_digits: Optional[int] = None):
+    """An option type: an int no larger than most, or one of at most
+    max_digits digits.  The digits are counted before int() reads them."""
+    max_digits = max_digits or len(str(most))
+    limit = f"must be at most {most}" if most else f"has more than {max_digits} digits"
+
+    def read(text: str) -> int:
+        digits = text.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if len(digits) > max_digits or most and int(text) > most:
+            raise argparse.ArgumentTypeError(limit)
+        return int(text)
+
+    read.__name__ = "int"  # argparse names the type in its own messages
+    return read
 
 
 def _add_format(subparser: argparse.ArgumentParser, *extra: str) -> None:

@@ -19,12 +19,12 @@ from typing import Optional, Sequence, Union
 from ellplan import certified
 from ellplan._value import Frozen
 from ellplan.certified import DEFAULT_POLICY, RationalLike, RefinementPolicy
-from ellplan.planner import EpsSpec, _ell_star_search, _terminating_decimal, ell_bf
+from ellplan.planner import EpsSpec, _ell_star_search, _eps_value, _terminating_decimal, ell_bf
 
 
 # digits of a savings factor's power d: 2^d with 1,300 digits in d renders in
 # about 0.26 s (1,000 digits: 0.25 s; 2,000: 0.91 s), and every row that
-# `table` answers at the default 4096-bit cap (down to about 1e-1235) fits;
+# `table` answers at the default 4096-bit cap (down to 1e-1243) fits;
 # records refuse a longer d from its text
 POW2_DIGITS = 1300
 _POW2_BOUND = 10**POW2_DIGITS
@@ -56,12 +56,7 @@ def _rendering_index(d: int) -> int:
     x = d * certified.enclose_log1p(1, p).lo / certified.enclose_log1p(9, p).hi
     k, fraction = divmod(x, 1)
     # a float guess at the index; the certified comparisons alone settle it
-    i = 90 * k + round(10 ** (1 + float(fraction))) - 10
-    while below(i - 1):
-        i -= 1
-    while not below(i):
-        i += 1
-    return i
+    return certified.least_holding(below, 90 * k + round(10 ** (1 + float(fraction))) - 10, 0)
 
 
 class BigMagnitude(Frozen):
@@ -185,10 +180,7 @@ def reproduce_table(
     policy: RefinementPolicy = DEFAULT_POLICY,
 ) -> list[TableRow]:
     """Rows for the given slacks in input order (default: the five references)."""
-    specs = [
-        e if isinstance(e, EpsSpec) else EpsSpec.from_rational(e)
-        for e in (PAPER_EPS if eps_list is None else eps_list)
-    ]
+    specs = [EpsSpec(_eps_value(e)) for e in (PAPER_EPS if eps_list is None else eps_list)]
     if not specs:
         raise ValueError("eps_list must be non-empty")
     return [_row_for(s, policy) for s in specs]

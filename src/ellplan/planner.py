@@ -7,16 +7,19 @@ at three depths:
     ell_ps      ceil(1/(2 e eps))               closed form, near-minimal
     ell_star    min{ell >= 1 : phi(ell) <= 1/e + eps}   exactly minimal
 
-ell_star is located by one certified walk down from ell_ps: the start is
-feasible by the Polya-Szego bound, phi is strictly decreasing, and the walk
-stops at the first infeasible depth.  Since ell_star = 1/(2 e eps) - 5/12 +
-O(eps) sits within a unit of ell_ps, the walk costs ell_ps - ell_star + 2
-probes, two or three in practice.  Every probe is depth_comparison, the one
-place that encodes phi(ell) <= 1/e + eps, as log(e*phi(ell)) <= log1p(e*eps)
-by certified enclosures; phi is rational and 1/e + eps is not, so the sides
-never tie.  The planner never touches floats, so the returned depths carry a
-proof rather than an estimate.  For eps >= 1/2 - 1/e the same path returns
-ell_star = 1 with no special casing.
+ell_ps and ell_star are each found by certified.least_holding, a walk to
+the least depth at which a certified comparison holds.  ell_ps is the least
+k with 2 e eps k > 1, from a guess off by at most one.  ell_star is walked
+down from ell_ps: the start is feasible by the Polya-Szego bound, phi is
+strictly decreasing, and the walk stops at the first infeasible depth.
+Since ell_star = 1/(2 e eps) - 5/12 + O(eps) sits within a unit of ell_ps,
+the walk costs ell_ps - ell_star + 2 probes, two or three in practice.
+Every probe is depth_comparison, the one place that encodes phi(ell) <= 1/e
++ eps, as log(e*phi(ell)) <= log1p(e*eps) by certified enclosures; phi is
+rational and 1/e + eps is not, so the sides never tie.  The planner never
+touches floats, so the returned depths carry a proof rather than an
+estimate.  For eps >= 1/2 - 1/e the same path returns ell_star = 1 with no
+special casing.
 
 The sharp exponential certificate (exp of the three-term exponent against
 1 + e*eps) is sufficient but not necessary; certificate_sharp can come back
@@ -32,18 +35,9 @@ from typing import Optional, Union
 from ellplan._value import Frozen
 from ellplan.bounds import log_e_phi, rho, sharp_exponent
 from ellplan.certified import (
-    DEFAULT_POLICY,
-    E,
-    Comparison,
-    Enclosure,
-    PrecisionExhausted,
-    RationalLike,
-    RefinementPolicy,
-    Verdict,
-    cmp_certified,
-    const,
-    enclose_e,
-    log1p_of,
+    DEFAULT_POLICY, E, Comparison, Enclosure, PrecisionExhausted, RationalLike,
+    RefinementPolicy, Verdict, _working_scale, cmp_certified, const, enclose_e,
+    least_holding, log1p_of,
 )
 
 
@@ -91,49 +85,56 @@ def _terminating_decimal(value: Fraction) -> Optional[tuple[int, int]]:
     return value.numerator * 10**k // den, k
 
 
-def _eps_value(eps: Union[EpsSpec, RationalLike]) -> Fraction:
-    if isinstance(eps, EpsSpec):
-        return eps.eps
-    return EpsSpec.from_rational(eps).eps
+EpsLike = Union[EpsSpec, RationalLike]
 
 
-def ell_bf(eps: Union[EpsSpec, RationalLike]) -> int:
+def _eps_value(eps: EpsLike) -> Fraction:
+    return eps.eps if isinstance(eps, EpsSpec) else EpsSpec.from_rational(eps).eps
+
+
+def ell_bf(eps: EpsLike) -> int:
     """The brute-force depth 1 + ceil(1/eps), computed exactly."""
-    value = _eps_value(eps)
-    return 1 + math.ceil(1 / value)
+    return 1 + math.ceil(1 / _eps_value(eps))
 
 
-def _ell_ps_with_bits(
-    value: Fraction, policy: RefinementPolicy
-) -> tuple[int, int]:
-    # ceil(1/(2 e eps)): refine the enclosure of e until both endpoints of
-    # 1/(2 e eps) share a ceiling.  1/(2 e eps) is irrational for rational
-    # eps, so this terminates quickly; the cap guard is for safety only.
-    for bits in policy.ladder():
-        enc = enclose_e(bits)
-        lo = 1 / (2 * enc.hi * value)
-        hi = 1 / (2 * enc.lo * value)
-        cl = math.ceil(lo)
-        if cl == math.ceil(hi):
-            return max(1, cl), bits
-    raise PrecisionExhausted(
-        f"ceiling of 1/(2 e eps) still ambiguous at {policy.cap_bits} bits"
-    )
+def _decided(res: Comparison, rungs: list[int], what: str) -> Verdict:
+    """res's verdict, its rung added to rungs; unresolved, it raises at the cap."""
+    if res.verdict is Verdict.UNRESOLVED:
+        raise PrecisionExhausted(f"{what} at {res.bits_used} bits")
+    rungs.append(res.bits_used)
+    return res.verdict
 
 
-def ell_ps(
-    eps: Union[EpsSpec, RationalLike],
-    policy: RefinementPolicy = DEFAULT_POLICY,
-) -> int:
+def _ell_ps_walk(value: Fraction, policy: RefinementPolicy, rungs: list[int]) -> int:
+    """ceil(1/(2 e eps)), at least 1: the least k >= 1 with 2 eps k e > 1.
+
+    Each step is one certified comparison, whose sides never tie, as e is
+    irrational.  The guess reads e 64 to 128 bits past the size of 1/eps, so
+    it is off by at most one however small eps is.
+    """
+    ambiguous = "ceiling of 1/(2 e eps) still ambiguous"
+    # below 2^-(w+3), 2 e eps is under a unit of the cap's working scale w,
+    # and both k beside 1/(2 e eps) straddle 1 at every rung: refuse before
+    # building the guess, whose size grows with 1/eps
+    if value.numerator << (_working_scale(policy.cap_bits) + 3) < value.denominator:
+        raise PrecisionExhausted(f"{ambiguous} at {policy.cap_bits} bits")
+    size = math.ceil(1 / value).bit_length()
+    guess = math.ceil(1 / (2 * enclose_e(64 * (size // 64 + 2)).lo * value))
+
+    def crosses(k: int) -> bool:
+        res = cmp_certified(E * const(2 * k * value), 1, policy)
+        return _decided(res, rungs, ambiguous) is Verdict.GREATER
+
+    return least_holding(crosses, max(guess, 1), 1)
+
+
+def ell_ps(eps: EpsLike, policy: RefinementPolicy = DEFAULT_POLICY) -> int:
     """The closed-form depth ceil(1/(2 e eps)), certified, at least 1."""
-    result, _ = _ell_ps_with_bits(_eps_value(eps), policy)
-    return result
+    return _ell_ps_walk(_eps_value(eps), policy, [])
 
 
 def depth_comparison(
-    ell: int,
-    eps: Union[EpsSpec, RationalLike],
-    policy: RefinementPolicy = DEFAULT_POLICY,
+    ell: int, eps: EpsLike, policy: RefinementPolicy = DEFAULT_POLICY
 ) -> Comparison:
     """Certified comparison of phi(ell) with 1/e + eps, made in the log domain.
 
@@ -145,55 +146,34 @@ def depth_comparison(
     return cmp_certified(log_e_phi(ell), target, policy)
 
 
-def _probe(
-    ell: int, target_hint: Fraction, policy: RefinementPolicy
-) -> tuple[bool, int]:
-    """Certified test of phi(ell) <= 1/e + eps; returns (verdict, bits)."""
-    res = depth_comparison(ell, target_hint, policy)
-    if res.verdict is Verdict.UNRESOLVED:
-        raise PrecisionExhausted(
-            f"phi({ell}) vs 1/e + {target_hint} unresolved at {policy.cap_bits} bits"
-        )
-    return res.verdict is Verdict.LESS, res.bits_used
-
-
-def _ell_star_search(
-    value: Fraction, policy: RefinementPolicy
-) -> tuple[int, int, int]:
-    """(ell_ps, ell_star, bits): one certified walk down from ell_ps.
+def _ell_star_search(value: Fraction, policy: RefinementPolicy) -> tuple[int, int, list[int]]:
+    """(ell_ps, ell_star, rungs): the walk to ell_ps, then one down from it.
 
     The last feasible probe (at ell_star) and the infeasible one below it
     (at ell_star - 1) are the two-sided minimality certificate; strict
-    decrease of phi rules out every smaller depth.
+    decrease of phi rules out every smaller depth.  rungs holds the start
+    rung and the rung each comparison of either walk needed.
     """
-    ps, bits = _ell_ps_with_bits(value, policy)
-    ok, b = _probe(ps, value, policy)
-    if not ok:
+    rungs = [policy.start_bits]
+    ps = _ell_ps_walk(value, policy, rungs)
+
+    def feasible(ell: int) -> bool:
+        res = depth_comparison(ell, value, policy)
+        return _decided(res, rungs, f"phi({ell}) vs 1/e + {value} unresolved") is Verdict.LESS
+
+    star = least_holding(feasible, ps, 1)
+    if star > ps:
         # the closed-form bound guarantees feasibility at its own ceiling
         raise AssertionError(f"phi({ps}) > 1/e + {value}: upper bound broken")
-    star, bits = ps, max(bits, b)
-    while star > 1:
-        ok, b = _probe(star - 1, value, policy)
-        bits = max(bits, b)
-        if not ok:
-            break
-        star -= 1
-    return ps, star, bits
+    return ps, star, rungs
 
 
-def ell_star(
-    eps: Union[EpsSpec, RationalLike],
-    policy: RefinementPolicy = DEFAULT_POLICY,
-) -> int:
+def ell_star(eps: EpsLike, policy: RefinementPolicy = DEFAULT_POLICY) -> int:
     """The minimal depth with phi(ell) <= 1/e + eps, every probe certified."""
     return _ell_star_search(_eps_value(eps), policy)[1]
 
 
-def certificate_sharp(
-    ell: int,
-    eps: Union[EpsSpec, RationalLike],
-    policy: RefinementPolicy = DEFAULT_POLICY,
-) -> bool:
+def certificate_sharp(ell: int, eps: EpsLike, policy: RefinementPolicy = DEFAULT_POLICY) -> bool:
     """Sufficient certificate: exp(1/(2l) - 1/(3l^2) + 1/(4l^3)) <= 1 + e*eps.
 
     True implies phi(ell) <= 1/e + eps.  False implies nothing about phi;
@@ -204,23 +184,15 @@ def certificate_sharp(
     size instead of beside the 1 of 1 + e*eps.
     """
     value = _eps_value(eps)
-    target = log1p_of(E * const(value))
-    res = cmp_certified(const(sharp_exponent(ell)), target, policy)
-    if res.verdict is Verdict.UNRESOLVED:
-        raise PrecisionExhausted(
-            f"certificate at ell={ell}, eps={value} unresolved "
-            f"at {policy.cap_bits} bits"
-        )
-    return res.verdict in (Verdict.LESS, Verdict.EQUAL)
+    res = cmp_certified(const(sharp_exponent(ell)), log1p_of(E * const(value)), policy)
+    what = f"certificate at ell={ell}, eps={value} unresolved"
+    return _decided(res, [], what) is not Verdict.GREATER
 
 
 _RESIDUAL_BITS = 128
 
 
-def asymptotic_residual(
-    eps: Union[EpsSpec, RationalLike],
-    policy: RefinementPolicy = DEFAULT_POLICY,
-) -> Enclosure:
+def asymptotic_residual(eps: EpsLike, policy: RefinementPolicy = DEFAULT_POLICY) -> Enclosure:
     """Enclosure of ell_star(eps) - (1/(2 e eps) - 5/12), for eps <= 1/10.
 
     The drift term is linear in eps and the ceiling contributes up to one
@@ -242,7 +214,9 @@ def asymptotic_residual(
 
 
 class EllPlan(Frozen):
-    """The three depths for one slack, plus the certification trail."""
+    """The three depths for one slack, plus the certification trail:
+    precision_used is the highest rung that any comparison of the walks to
+    ell_ps and ell_star needed (the policy's start rung at least)."""
 
     eps: EpsSpec
     ell_bf: int
@@ -253,10 +227,7 @@ class EllPlan(Frozen):
     precision_used: int
 
 
-def plan(
-    eps: Union[EpsSpec, RationalLike, str],
-    policy: RefinementPolicy = DEFAULT_POLICY,
-) -> EllPlan:
+def plan(eps: Union[EpsLike, str], policy: RefinementPolicy = DEFAULT_POLICY) -> EllPlan:
     """Assemble the full depth plan for one slack value.
 
     Deterministic for a fixed eps: the walk and every enclosure depend only
@@ -266,14 +237,8 @@ def plan(
     ell_ps - ell_star + 2 probes, and that difference is 0 or 1 on every tested
     slack.
     """
-    if isinstance(eps, str):
-        spec = EpsSpec.parse(eps)
-    elif isinstance(eps, EpsSpec):
-        spec = eps
-    else:
-        spec = EpsSpec.from_rational(eps)
-
-    ps, star, bits = _ell_star_search(spec.eps, policy)
+    spec = EpsSpec.parse(eps) if isinstance(eps, str) else EpsSpec(_eps_value(eps))
+    ps, star, rungs = _ell_star_search(spec.eps, policy)
     return EllPlan(
         eps=spec,
         ell_bf=ell_bf(spec),
@@ -281,5 +246,5 @@ def plan(
         ell_star=star,
         rho_star=rho(star),
         certificate_holds_at_star=certificate_sharp(star, spec, policy),
-        precision_used=max(bits, policy.start_bits),
+        precision_used=max(rungs),
     )

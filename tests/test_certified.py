@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -21,6 +21,7 @@ from ellplan.certified import (
     enclose_log1p,
     exp_of,
     inv_e,
+    least_holding,
     log1p_of,
 )
 
@@ -478,3 +479,37 @@ class TestRefinementPolicy:
 
     def test_single_rung(self):
         assert list(RefinementPolicy(64, 64).ladder()) == [64]
+
+
+class TestLeastHolding:
+    """least_holding against a brute-force least, on monotone predicates:
+    false below a threshold and true from it on, the threshold possibly at
+    or below least.  The walk tests no n twice and costs one test a unit
+    the guess is off, plus at most two."""
+
+    @given(
+        least=st.integers(-30, 30),
+        threshold=st.integers(-60, 90),
+        offset=st.integers(0, 80),
+    )
+    @example(least=1, threshold=5, offset=4)  # guess at the answer
+    @example(least=1, threshold=5, offset=1)  # guess below it
+    @example(least=1, threshold=5, offset=9)  # guess above it
+    @example(least=1, threshold=-3, offset=0)  # holds everywhere, guess at least
+    def test_matches_brute_force(self, least, threshold, offset):
+        tested = []
+
+        def holds(n: int) -> bool:
+            assert n >= least
+            tested.append(n)
+            return n >= threshold
+
+        guess = least + offset
+        want = next(n for n in range(least, least + 200) if n >= threshold)
+        assert least_holding(holds, guess, least) == want
+        assert len(tested) == len(set(tested))
+        assert len(tested) <= abs(guess - want) + 2
+
+    @pytest.mark.parametrize("guess", [3, 10, 17])
+    def test_guess_below_at_and_above(self, guess):
+        assert least_holding(lambda n: n * n > 99, guess, 0) == 10

@@ -10,10 +10,13 @@ from io import StringIO
 import pytest
 
 from ellplan.cli import (
+    ELL_DIGITS,
     EXIT_FAILURE,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    LMAX_LIMIT,
+    RANDOM_LIMIT,
     _build_parser,
     _parse_grid,
     _policy_of,
@@ -578,6 +581,17 @@ class TestTestbedCommand:
         assert all(name in shown for name in BUNDLED_INSTANCES)
 
 
+def test_ratio_weight_instance_exits_3(tmp_path, capsys):
+    # a p/q weight has no terminating decimal form to be written back in
+    path = tmp_path / "third.json"
+    path.write_text(
+        '{"universe": {"a": "1/3"}, "ground": {"e1": ["a"]}, '
+        '"matroid": {"type": "uniform", "rank": 1}}'
+    )
+    assert run("testbed", "--instance", str(path)) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: universe.a: bad weight text '1/3'\n"
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as err:
@@ -600,6 +614,84 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["plan", "--eps", "1e-2", "--format", "yaml"])
         assert err.value.code == EXIT_USAGE
+
+
+class TestOptionLimits:
+    """--lmax, --random and the digits of --ell are checked as each option
+    is parsed, before any work; nothing here runs a command at its limit."""
+
+    @pytest.mark.parametrize(
+        "argv,dest,value",
+        [
+            (["verify", "--suite", "bounds", "--lmax", str(LMAX_LIMIT)], "lmax", LMAX_LIMIT),
+            (["testbed", "--random", str(RANDOM_LIMIT)], "random", RANDOM_LIMIT),
+            (["certify", "--ell", "9" * ELL_DIGITS, "--eps", "1e-2"], "ell", 10**ELL_DIGITS - 1),
+            (["certify", "--ell", "0" * 30 + "19", "--eps", "1e-2"], "ell", 19),
+        ],
+        ids=["lmax", "random", "ell", "ell-leading-zeros"],
+    )
+    def test_at_the_limit_parses(self, argv, dest, value):
+        assert getattr(_build_parser().parse_args(argv), dest) == value
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--suite", "bounds", "--lmax", str(LMAX_LIMIT + 1)],
+             f"argument --lmax: must be at most {LMAX_LIMIT}"),
+            (["verify", "--suite", "logs", "--lmax", "1" * 10**6],
+             f"argument --lmax: must be at most {LMAX_LIMIT}"),
+            (["testbed", "--random", str(RANDOM_LIMIT + 1)],
+             f"argument --random: must be at most {RANDOM_LIMIT}"),
+            (["certify", "--ell", "1" + "0" * ELL_DIGITS, "--eps", "1e-2"],
+             f"argument --ell: has more than {ELL_DIGITS} digits"),
+        ],
+        ids=["lmax", "lmax-long", "random", "ell"],
+    )
+    def test_past_the_limit_exits_3(self, argv, message, capsys):
+        out = StringIO()
+        with pytest.raises(SystemExit) as err:
+            main(argv, out)
+        assert err.value.code == EXIT_USAGE
+        assert out.getvalue() == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f": error: {message}\n")
+
+    def test_bad_text_keeps_the_int_message(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--suite", "bounds", "--lmax", "abc"])
+        assert "argument --lmax: invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,limit", [("--lmax", LMAX_LIMIT), ("--random", RANDOM_LIMIT)])
+    def test_help_states_the_limit(self, flag, limit, capsys):
+        command = "verify" if flag == "--lmax" else "testbed"
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"at most {limit}" in " ".join(capsys.readouterr().out.split())
+
+
+class TestPastTheCeilingCap:
+    """Below about 2^-(cap + 43) no comparison at the cap can separate
+    2 eps k e from 1, so ell_ps refuses before it builds a guess whose size
+    grows with 1/eps.  Run as processes with a timeout, so a walk that never
+    ends fails the test rather than hanging it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan", "--rule", "ps", "--eps", "1e-2000"], ["table", "--eps", "1e-2000"]],
+        ids=["plan-ps", "table"],
+    )
+    def test_exits_2_at_once(self, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+        done = subprocess.run(
+            [sys.executable, "-m", "ellplan.cli", *argv], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=20,
+        )
+        assert done.returncode == EXIT_INCONCLUSIVE
+        assert done.stdout == ""
+        assert done.stderr == (
+            "inconclusive: ceiling of 1/(2 e eps) still ambiguous at 4096 bits\n"
+        )
 
 
 class _GoneReader:

@@ -301,3 +301,30 @@ def test_only_the_codecs_module_reads_json():
                 if any(k.arg == "object_pairs_hook" for k in node.keywords):
                     hooks.add(path.name)
     assert (loads, hooks) == ({"_codecs.py"}, {"_codecs.py"})
+
+
+def _ladder_callers(tree: ast.AST, where: str = "<module>") -> list[str]:
+    """The innermost function around each ``.ladder()`` call in a tree."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _ladder_callers(node, node.name)
+            continue
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "ladder"
+        ):
+            found.append(where)
+        found += _ladder_callers(node, where)
+    return found
+
+
+def test_only_cmp_certified_walks_the_precision_ladder():
+    # one loop over the precision ladder: every certified decision, ell_ps's
+    # ceiling included, is a cmp_certified verdict at the rung it needed
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers += [f"{path.name}:{name}" for name in _ladder_callers(tree)]
+    assert callers == ["certified.py:cmp_certified"]

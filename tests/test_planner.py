@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -128,6 +130,61 @@ class TestEllPs:
                 eps = Fraction(k, 997)
                 want = int(mp.ceil(1 / (2 * mp.e * mp.mpf(k) / 997)))
                 assert ell_ps(eps) == want
+
+
+def _oracle_ell_ps(eps: Fraction, digits: int) -> int:
+    """ceil(1/(2 e eps)) from mpmath at ``digits`` digits, checked to sit
+    well clear of an integer at that precision."""
+    with mp.workdps(digits):
+        x = 1 / (2 * mp.e * mp.mpf(eps.numerator) / eps.denominator)
+        up = int(mp.ceil(x))
+        assert min(up - x, x - (up - 1)) > x * mp.mpf(10) ** (20 - digits)
+    return max(1, up)
+
+
+def _seeded_slacks(seed: int, count: int, lo: int, hi: int) -> list[str]:
+    """Three-digit decimal slacks, log-uniform in [10^lo, 10^hi]."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        x = rng.uniform(lo, hi)
+        out.append(f"{10 ** (x - math.floor(x)):.2f}e{math.floor(x)}")
+    return out
+
+
+class TestEllPsWalk:
+    """ell_ps is a walk of certified comparisons 2 eps k e > 1 from a guess
+    that scales with eps; these check it against mpmath where the default
+    4096-bit cap answers, and the refusal past that."""
+
+    def test_every_decade_to_1e_minus_1240(self):
+        for k in range(1, 1241):
+            eps = Fraction(1, 10**k)
+            assert ell_ps(eps) == _oracle_ell_ps(eps, k + 60), k
+
+    @pytest.mark.parametrize("text", _seeded_slacks(23, 200, -300, -1))
+    def test_seeded_slacks(self, text):
+        eps = Fraction(text)
+        assert ell_ps(eps) == _oracle_ell_ps(eps, 360)
+
+    def test_answers_to_1e_minus_1245_at_the_default_cap(self):
+        eps = Fraction(1, 10**1245)
+        assert ell_ps(eps) == _oracle_ell_ps(eps, 1305)
+
+    @pytest.mark.parametrize("k", [1246, 2000, 100000])
+    def test_refused_past_the_cap_before_any_guess(self, k):
+        start = time.perf_counter()
+        with pytest.raises(
+            PrecisionExhausted, match="^ceiling of 1/\\(2 e eps\\) still ambiguous at 4096 bits$"
+        ):
+            ell_ps(Fraction(1, 10**k))
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("cap", [8, 64, 1024])
+    def test_refusal_tracks_the_cap(self, cap):
+        # the same ceiling message names the cap the walk ran under
+        with pytest.raises(PrecisionExhausted, match=f"ambiguous at {cap} bits$"):
+            ell_ps(Fraction(1, 2 ** (2 * cap + 50)), RefinementPolicy(8, cap))
 
 
 class TestEllStar:
@@ -286,8 +343,9 @@ class TestPlan:
         assert (p.ell_bf, p.ell_ps, p.ell_star) == triple
 
     def test_probe_count_tracks_the_gap(self, monkeypatch):
-        # the walk down from ell_ps probes ell_ps .. ell_star - 1, and the
-        # sharp certificate at ell_star adds one comparison
+        # ell_ps is two comparisons from its guess, the walk down from ell_ps
+        # probes ell_ps .. ell_star - 1, and the sharp certificate at
+        # ell_star adds one comparison
         calls = []
 
         def counting(*args, **kwargs):
@@ -298,7 +356,7 @@ class TestPlan:
         for text in ("1e-1", "5e-2", "1e-2", "1e-3", "1e-4"):
             calls.clear()
             p = plan(text)
-            assert len(calls) <= (p.ell_ps - p.ell_star) + 2 + 1, text
+            assert len(calls) <= 2 + (p.ell_ps - p.ell_star) + 2 + 1, text
 
     def test_rho_star_is_exact_complement(self):
         p = plan("1e-2")

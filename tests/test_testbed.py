@@ -517,6 +517,26 @@ class TestInstanceFormat:
         with pytest.raises(FileNotFoundError):
             load_instance(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("weight", ['"1/3"', '"1/2"', '" 3/4 "', '"1_0/3"'])
+    def test_ratio_weights_refused(self, weight):
+        # a weight is written back as a terminating decimal, so p/q is not
+        # read, even where the ratio terminates
+        text = (
+            '{"universe": {"a": %s}, "ground": {"e1": ["a"]}, '
+            '"matroid": {"type": "uniform", "rank": 1}}' % weight
+        )
+        with pytest.raises(InstanceFormatError, match=r"^universe\.a: bad weight text '"):
+            parse_instance(text)
+
+    def test_bundled_and_seeded_instances_round_trip(self):
+        import random
+
+        rng = random.Random(23)
+        instances = [bundled_instance(name) for name in BUNDLED_INSTANCES]
+        instances += [generate_random_instance(rng) for _ in range(50)]
+        for instance in instances:
+            assert parse_instance(json.dumps(instance_to_jsonable(instance))) == instance
+
     def test_decimal_weights_parse_exactly(self):
         instance = parse_instance(
             json.dumps(
