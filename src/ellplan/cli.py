@@ -21,6 +21,7 @@ command runs under.  Every command runs on one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -38,8 +39,10 @@ EXIT_USAGE = 3
 
 _EXPANSION_ELLS = (100, 1000, 10000)
 
-# integer option limits for about 10 s a command, from the costs in README.md
+# option limits for about 10 s a command, from the costs in README.md
 LMAX_LIMIT, RANDOM_LIMIT, ELL_DIGITS = 100_000, 5_000, 20_000
+# --grid: points, and the digits and decimal exponent of each number
+GRID_POINTS, GRID_DIGITS, GRID_EXPONENT = 40_000, 30, 30
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +74,12 @@ class _BundledNames:
         return iter(testbed.BUNDLED_INSTANCES)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built at the first main call (not at
+    import, which would load certified for its defaults) and shared by every
+    later call.  A parse leaves the tree as it found it, and a tree rebuilt
+    per call is cyclic garbage that stays until a full collection."""
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument(
         "--precision-start", type=int, default=certified.DEFAULT_POLICY.start_bits,
@@ -112,8 +120,10 @@ def _build_parser() -> _Parser:
         help=f"largest depth to sweep (at most {LMAX_LIMIT})",
     )
     p_verify.add_argument(
-        "--grid", default="0:10:0.125", metavar="START:STOP:STEP",
-        help="inclusive rational grid for the logs suite",
+        "--grid", type=_bounded_grid, default="0:10:0.125", metavar="START:STOP:STEP",
+        help=f"inclusive rational grid for the logs suite (at most {GRID_POINTS} "
+        f"points; each number at most {GRID_DIGITS} digits and a decimal exponent "
+        f"of at most {GRID_EXPONENT} in size)",
     )
 
     p_table = sub.add_parser(
@@ -250,7 +260,7 @@ def _sweep_exit(reports) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str) -> list[Fraction]:
+def _grid_ends(text: str) -> tuple[Fraction, Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be START:STOP:STEP, got {text!r}")
@@ -260,12 +270,37 @@ def _parse_grid(text: str) -> list[Fraction]:
         raise ValueError(f"bad grid value in {text!r}") from exc
     if step <= 0 or stop < start:
         raise ValueError(f"grid must increase, got {text!r}")
-    points = []
-    k = 0
-    while start + k * step <= stop:
-        points.append(start + k * step)
-        k += 1
-    return points
+    return start, stop, step
+
+
+def _parse_grid(text: str) -> list[Fraction]:
+    start, stop, step = _grid_ends(text)
+    return [start + k * step for k in range((stop - start) // step + 1)]
+
+
+def _bounded_grid(text: str) -> str:
+    """The --grid type: refuses a grid past a limit.  Each number's digits
+    and exponent are read from its text before any Fraction exists, and the
+    point count from the bounded ends.  A malformed grid passes, for the
+    logs suite to name."""
+    for part in text.split(":"):
+        mantissa, _, exponent = part.lower().partition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if sum(c.isdecimal() for c in mantissa) > GRID_DIGITS:
+            raise argparse.ArgumentTypeError(f"a number has more than {GRID_DIGITS} digits")
+        if digits.isdecimal() and (
+            len(digits) > len(str(GRID_EXPONENT)) or int(digits) > GRID_EXPONENT
+        ):
+            raise argparse.ArgumentTypeError(
+                f"a decimal exponent exceeds {GRID_EXPONENT} in size"
+            )
+    try:
+        start, stop, step = _grid_ends(text)
+    except ValueError:
+        return text
+    if (stop - start) // step >= GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"has more than {GRID_POINTS} points")
+    return text
 
 
 def _cmd_verify(args, policy: certified.RefinementPolicy, out) -> int:

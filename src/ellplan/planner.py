@@ -199,14 +199,16 @@ def asymptotic_residual(eps: EpsLike, policy: RefinementPolicy = DEFAULT_POLICY)
     unit, so the residual should land in [-1/2, 3/2] throughout the small-eps
     regime; this function reports the enclosure, it does not police it.  The
     width of e is magnified by about 1/eps, so e is enclosed at 128 bits plus
-    the bit length of ceil(1/eps), and the residual's enclosure is under
-    2^-128 wide at every eps.
+    the bit length of ceil(1/eps), rounded up to whole 64-bit steps so that
+    nearby slacks share enclose_e's cache, and the residual's enclosure is
+    under 2^-128 wide at every eps.
     """
     value = _eps_value(eps)
     if value > Fraction(1, 10):
         raise ValueError(f"asymptotic regime needs eps <= 1/10, got {value}")
     star = _ell_star_search(value, policy)[1]
-    bits = _RESIDUAL_BITS + math.ceil(1 / value).bit_length()
+    size = math.ceil(1 / value).bit_length()
+    bits = _RESIDUAL_BITS + 64 * -(-size // 64)
     enc = enclose_e(max(bits, policy.start_bits))
     target_lo = 1 / (2 * enc.hi * value) - Fraction(5, 12)
     target_hi = 1 / (2 * enc.lo * value) - Fraction(5, 12)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -15,8 +16,12 @@ from ellplan.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    GRID_DIGITS,
+    GRID_EXPONENT,
+    GRID_POINTS,
     LMAX_LIMIT,
     RANDOM_LIMIT,
+    _Parser,
     _build_parser,
     _parse_grid,
     _policy_of,
@@ -627,8 +632,21 @@ class TestOptionLimits:
             (["testbed", "--random", str(RANDOM_LIMIT)], "random", RANDOM_LIMIT),
             (["certify", "--ell", "9" * ELL_DIGITS, "--eps", "1e-2"], "ell", 10**ELL_DIGITS - 1),
             (["certify", "--ell", "0" * 30 + "19", "--eps", "1e-2"], "ell", 19),
+            *(
+                (["verify", "--suite", "logs", "--grid", grid], "grid", grid)
+                for grid in (
+                    f"0:{GRID_POINTS - 1}:1",
+                    f"0:{'9' * GRID_DIGITS}:{'1' * GRID_DIGITS}",
+                    f"0:1e{GRID_EXPONENT}:1e{GRID_EXPONENT}",
+                    f"0:1e-26:1e-{GRID_EXPONENT}",
+                    "0:1:x",
+                )
+            ),
         ],
-        ids=["lmax", "random", "ell", "ell-leading-zeros"],
+        ids=[
+            "lmax", "random", "ell", "ell-leading-zeros", "grid-points", "grid-digits",
+            "grid-exponent", "grid-negative-exponent", "grid-malformed-for-the-suite",
+        ],
     )
     def test_at_the_limit_parses(self, argv, dest, value):
         assert getattr(_build_parser().parse_args(argv), dest) == value
@@ -644,8 +662,19 @@ class TestOptionLimits:
              f"argument --random: must be at most {RANDOM_LIMIT}"),
             (["certify", "--ell", "1" + "0" * ELL_DIGITS, "--eps", "1e-2"],
              f"argument --ell: has more than {ELL_DIGITS} digits"),
+            (["verify", "--suite", "logs", "--grid", f"0:{GRID_POINTS}:1"],
+             f"argument --grid: has more than {GRID_POINTS} points"),
+            (["verify", "--suite", "logs", "--grid", f"0:1:{'1' * (GRID_DIGITS + 1)}"],
+             f"argument --grid: a number has more than {GRID_DIGITS} digits"),
+            (["verify", "--suite", "logs", "--grid", f"0:1:1e-{GRID_EXPONENT + 1}"],
+             f"argument --grid: a decimal exponent exceeds {GRID_EXPONENT} in size"),
+            (["verify", "--suite", "bounds", "--grid", "0:1:1e-" + "1" * 10**6],
+             f"argument --grid: a decimal exponent exceeds {GRID_EXPONENT} in size"),
         ],
-        ids=["lmax", "lmax-long", "random", "ell"],
+        ids=[
+            "lmax", "lmax-long", "random", "ell", "grid-points", "grid-digits",
+            "grid-exponent", "grid-exponent-long",
+        ],
     )
     def test_past_the_limit_exits_3(self, argv, message, capsys):
         out = StringIO()
@@ -662,12 +691,61 @@ class TestOptionLimits:
             main(["verify", "--suite", "bounds", "--lmax", "abc"])
         assert "argument --lmax: invalid int value: 'abc'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,limit", [("--lmax", LMAX_LIMIT), ("--random", RANDOM_LIMIT)])
+    @pytest.mark.parametrize(
+        "flag,limit",
+        [("--lmax", LMAX_LIMIT), ("--random", RANDOM_LIMIT), ("--grid", GRID_POINTS)],
+    )
     def test_help_states_the_limit(self, flag, limit, capsys):
-        command = "verify" if flag == "--lmax" else "testbed"
+        command = "testbed" if flag == "--random" else "verify"
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert f"at most {limit}" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-100000", "0:1:1e-100000000"])
+    def test_deep_grid_exits_3_at_once(self, grid):
+        # each grid has 10^100000 points or more: run it with a timeout
+        src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+        done = subprocess.run(
+            [sys.executable, "-m", "ellplan.cli", "verify", "--suite", "logs", "--grid", grid],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=20,
+        )
+        assert done.returncode == EXIT_USAGE
+        assert done.stdout == ""
+        assert done.stderr.endswith(
+            f"argument --grid: a decimal exponent exceeds {GRID_EXPONENT} in size\n"
+        )
+
+
+class TestOneParser:
+    """main builds its parser once and shares it with every later call."""
+
+    def test_main_calls_share_one_parser(self, monkeypatch):
+        parsers = []
+        parse_args = _Parser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Parser, "parse_args", recording)
+        assert run("plan", "--eps", "1e-2", "--rule", "bf") == (EXIT_OK, "101\n")
+        assert run("verify", "--suite", "bounds", "--lmax", "2")[0] == EXIT_OK
+        assert len(parsers) == 2
+        assert parsers[0] is parsers[1] is _build_parser()
+
+    def test_plan_leaves_no_cyclic_garbage(self):
+        argv = ["plan", "--eps", "1e-2", "--format", "structured"]
+        run(*argv)  # builds the parser and fills the caches
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(*argv)[0] == EXIT_OK
+            # a parser rebuilt per call left 265 objects here
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestPastTheCeilingCap:

@@ -6,7 +6,8 @@ of no module it does not need, ``import ellplan.cli`` still puts every
 module in ``sys.modules``, a function replaced in its defining module's
 namespace is the one the CLI calls, as an outside tracer relies on, threads
 making a first use at once each see the whole module, and a failed first use
-is retried.
+is retried.  The CLI's parser, too, is built at the first ``main`` call and
+not at import.
 """
 
 import json
@@ -37,10 +38,12 @@ import ellplan, ellplan.cli
 
 after_import = sorted(ran)
 registered = sorted(k for k in sys.modules if k.startswith("ellplan."))
+parsers_after_import = ellplan.cli._build_parser.cache_info().misses
 codes = [ellplan.cli.main(argv, out=io.StringIO()) for argv in json.loads(sys.argv[1])]
 print(json.dumps({
     "after_import": after_import,
     "registered": registered,
+    "parsers_after_import": parsers_after_import,
     "codes": codes,
     "after_commands": sorted(ran),
 }))
@@ -66,6 +69,13 @@ def test_text_commands_run_no_costs_testbed_or_records_code():
     # the imports alone run only the CLI and what its definitions need
     assert not (unused | {"bounds", "planner"}) & set(seen["after_import"])
     assert "cli" in seen["after_import"]
+
+
+def test_cli_import_builds_no_parser_and_runs_no_submodule():
+    # the parser reads certified's default policy, so it waits for main
+    seen = _probe([])
+    assert seen["after_import"] == ["__init__", "cli"]
+    assert seen["parsers_after_import"] == 0
 
 
 def test_cli_import_registers_every_module():

@@ -16,6 +16,7 @@ from ellplan.certified import (
     Verdict,
     cmp_certified,
     const,
+    enclose_e,
     inv_e,
 )
 from ellplan.planner import (
@@ -300,7 +301,8 @@ class TestAsymptoticResidual:
     )
     def test_contains_oracle(self, text, star):
         eps = EpsSpec.parse(text)
-        with mp.workdps(60):
+        # the enclosure is under 2^-190 wide at 1e-2, finer than 60 digits
+        with mp.workdps(80):
             oracle = mpf_to_fraction(
                 star - (1 / (2 * mp.e * mp.mpf(text)) - mp.mpf(5) / 12)
             )
@@ -318,6 +320,18 @@ class TestAsymptoticResidual:
         assert enc.contains(oracle)
         assert enc.width < Fraction(1, 2**100)
         assert Fraction(-1, 2) <= enc.lo and enc.hi <= Fraction(3, 2)
+
+    def test_nearby_slacks_share_the_e_enclosure(self):
+        # e is read at 64-bit steps, so 200 decades, whose 1/eps span 67 to
+        # 728 bits, need at most 12 precisions between them, each of which
+        # the walks to ell_star may already have cached
+        slacks = [Fraction(1, 10**k) for k in range(20, 220)]
+        for eps in slacks:
+            ell_star(eps)
+        before = enclose_e.cache_info().currsize
+        for eps in slacks:
+            assert asymptotic_residual(eps).width <= Fraction(1, 2**128)
+        assert enclose_e.cache_info().currsize - before <= 12
 
     def test_requires_small_eps(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,10 @@ output is intended.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from io import StringIO
 from pathlib import Path
 
@@ -94,6 +97,63 @@ def test_mismatch_reads_back_with_its_fields(monkeypatch):
     assert (mismatch.row, mismatch.column, mismatch.expected, mismatch.got) == (
         "1e-1", "ell_bf", "12", "11",
     )
+
+
+# Runs each argv of argv[1] through ellplan.cli.main in this one process, as
+# `python -m ellplan.cli` runs it, and prints what each wrote and returned.
+_ONE_PROCESS = """
+import io, json, sys
+from ellplan import cli
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    runs.append([sys.stdout.getvalue(), sys.stderr.getvalue(), code])
+sys.stdout = sys.__stdout__
+print(json.dumps({"runs": runs, "parsers_built": cli._build_parser.cache_info().misses}))
+"""
+
+
+def test_one_process_writes_what_fresh_processes_write():
+    # a usage error and two help texts first: the calls after them must not
+    # see a parser they left behind in another state
+    argvs = [
+        ["plan", "--eps", "1e-2", "--format", "yaml"],
+        ["--help"],
+        ["verify", "--help"],
+        *_corpus_argvs(),
+        ["table"],
+        ["table", "--format", "csv"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def fresh(argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "ellplan.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return [done.stdout, done.stderr, done.returncode]
+
+    done = subprocess.run(
+        [sys.executable, "-c", _ONE_PROCESS, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["parsers_built"] == 1
+    for argv, run in zip(argvs, seen["runs"], strict=True):
+        assert run == fresh(argv), argv
+    codes = [code for _, _, code in seen["runs"]]
+    assert codes[:3] == [cli.EXIT_USAGE, 0, 0]
+    corpus = zip(_corpus_argvs(), seen["runs"][3:-2], strict=True)
+    assert [_block(argv, code, out) for argv, (out, _, code) in corpus] == _golden_blocks()
+    golden = GOLDEN.parent
+    assert seen["runs"][-2][0] == (golden / "table.txt").read_text()
+    assert seen["runs"][-1][0] == (golden / "table.csv").read_text()
 
 
 if __name__ == "__main__":
