@@ -47,7 +47,6 @@ _EXPORTS = {
     "planner": (
         "EllPlan",
         "EpsSpec",
-        "asymptotic_residual",
         "certificate_sharp",
         "ell_bf",
         "ell_ps",

@@ -51,7 +51,6 @@ from ellplan.certified import (
     const,
     enclose_exp,
     exp_of,
-    inv_e,
     log1p_of,
 )
 
@@ -148,7 +147,7 @@ def bound_factor(kind: BoundKind, ell: int) -> RealExpr:
 
 def bound_value(kind: BoundKind, ell: int) -> RealExpr:
     """Descriptor of the upper bound itself, comparable to any precision."""
-    return bound_factor(kind, ell) * inv_e()
+    return bound_factor(kind, ell) * exp_of(-1)
 
 
 def _log_bound_factor(kind: BoundKind, ell: int) -> RealExpr:

@@ -437,7 +437,6 @@ class _Mul(RealExpr):
 
 
 E = _Kernel("e", None, _e_fixed)
-_INV_E = _Kernel("(1 / e)", None, _exp_fixed, -1, 1)
 
 
 def as_expr(v) -> RealExpr:
@@ -492,11 +491,6 @@ def _negate(a: RealExpr) -> RealExpr:
     if xa is not None:
         return _Const(-xa)
     return _Mul(_Const(-1), a)
-
-
-def inv_e() -> RealExpr:
-    """The constant 1/e as a descriptor."""
-    return _INV_E
 
 
 # ---------------------------------------------------------------------------

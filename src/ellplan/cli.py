@@ -43,6 +43,11 @@ _EXPANSION_ELLS = (100, 1000, 10000)
 LMAX_LIMIT, RANDOM_LIMIT, ELL_DIGITS = 100_000, 5_000, 20_000
 # --grid: points, and the digits and decimal exponent of each number
 GRID_POINTS, GRID_DIGITS, GRID_EXPONENT = 40_000, 30, 30
+# --eps: the digits of each side of p/q and the decimal exponent, and table rows
+EPS_DIGITS, EPS_EXPONENT, TABLE_ROWS = 20_000, 20_000, 100
+# --precision-start, --precision-cap and --seed: Python's own default digit
+# limit for int(text), which main lifts for its exact rationals
+INT_DIGITS = 4_300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,12 +87,15 @@ def _build_parser() -> _Parser:
     per call is cyclic garbage that stays until a full collection."""
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument(
-        "--precision-start", type=int, default=certified.DEFAULT_POLICY.start_bits,
-        metavar="BITS", help="first rung of the precision ladder (default %(default)s)",
+        "--precision-start", type=_bounded_int(max_digits=INT_DIGITS),
+        default=certified.DEFAULT_POLICY.start_bits, metavar="BITS",
+        help="first rung of the precision ladder (default %(default)s)",
     )
     precision.add_argument(
-        "--precision-cap", type=int, default=certified.DEFAULT_POLICY.cap_bits,
-        metavar="BITS", help="last rung of the ladder (default %(default)s)",
+        "--precision-cap", type=_bounded_int(max_digits=INT_DIGITS),
+        default=certified.DEFAULT_POLICY.cap_bits, metavar="BITS",
+        help=f"last rung of the ladder (default %(default)s); each at most {INT_DIGITS} "
+        "digits, and 8 <= start <= cap <= 65536",
     )
 
     parser = _Parser(
@@ -100,7 +108,9 @@ def _build_parser() -> _Parser:
         "plan", parents=[precision], help="compute depth rules for a slack"
     )
     _add_format(p_plan)
-    p_plan.add_argument("--eps", required=True, help="slack, e.g. 1e-2 or 3/1000")
+    p_plan.add_argument(
+        "--eps", type=_eps, required=True, help=f"slack, e.g. 1e-2 or 3/1000; {_EPS_HELP}"
+    )
     p_plan.add_argument(
         "--rule", choices=("bf", "ps", "star", "all"), default="all"
     )
@@ -131,8 +141,9 @@ def _build_parser() -> _Parser:
     )
     _add_format(p_table, "csv")
     p_table.add_argument(
-        "--eps", action="append", default=None,
-        help="slack for one row; repeatable (default: the five reference slacks)",
+        "--eps", type=_eps, action=_Rows, default=None,
+        help=f"slack for one row; repeatable, at most {TABLE_ROWS} rows (default: the "
+        f"five reference slacks); {_EPS_HELP}",
     )
     p_table.add_argument(
         "--check", action="store_true",
@@ -147,15 +158,16 @@ def _build_parser() -> _Parser:
         "--ell", type=_bounded_int(max_digits=ELL_DIGITS), required=True,
         help=f"depth to check (at most {ELL_DIGITS} digits)",
     )
-    p_certify.add_argument("--eps", required=True)
+    p_certify.add_argument("--eps", type=_eps, required=True, help=_EPS_HELP)
 
     p_testbed = sub.add_parser(
         "testbed", parents=[precision], help="ground the targets on instances"
     )
     _add_format(p_testbed)
     p_testbed.add_argument(
-        "--seed", type=int, default=None,
-        help="seed for --random (0 if not given), recorded in each report",
+        "--seed", type=_bounded_int(max_digits=INT_DIGITS), default=None,
+        help=f"seed for --random (0 if not given), recorded in each report (at most "
+        f"{INT_DIGITS} digits)",
     )
     source = p_testbed.add_mutually_exclusive_group(required=True)
     source.add_argument("--instance", metavar="PATH", help="instance file")
@@ -167,7 +179,9 @@ def _build_parser() -> _Parser:
         "--random", type=_bounded_int(RANDOM_LIMIT), metavar="N",
         help=f"N seeded random instances (at most {RANDOM_LIMIT})",
     )
-    p_testbed.add_argument("--eps", default="1e-1", help="slack for the target")
+    p_testbed.add_argument(
+        "--eps", type=_eps, default="1e-1", help=f"slack for the target; {_EPS_HELP}"
+    )
 
     return parser
 
@@ -186,6 +200,43 @@ def _bounded_int(most: Optional[int] = None, max_digits: Optional[int] = None):
 
     read.__name__ = "int"  # argparse names the type in its own messages
     return read
+
+
+_EPS_HELP = (
+    f"each side of p/q at most {EPS_DIGITS} digits, and a decimal exponent of at most "
+    f"{EPS_EXPONENT} in size"
+)
+
+
+def _sized(parts, digits: int, exponent: int) -> None:
+    """Refuse a number past digits or a decimal exponent past exponent in
+    size, read from each part's text before any number exists."""
+    for part in parts:
+        mantissa, _, power = part.lower().partition("e")
+        power = power.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if sum(c.isdecimal() for c in mantissa) > digits:
+            raise argparse.ArgumentTypeError(f"a number has more than {digits} digits")
+        if power.isdecimal() and (len(power) > len(str(exponent)) or int(power) > exponent):
+            raise argparse.ArgumentTypeError(f"a decimal exponent exceeds {exponent} in size")
+
+
+def _eps(text: str) -> planner.EpsSpec:
+    """The --eps type: the slack, refused past a limit of its text."""
+    _sized(text.split("/"), EPS_DIGITS, EPS_EXPONENT)
+    try:
+        return planner.EpsSpec.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+class _Rows(argparse.Action):
+    """table's --eps: one row a use, at most TABLE_ROWS of them."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        rows = getattr(namespace, self.dest) or []
+        if len(rows) == TABLE_ROWS:
+            raise argparse.ArgumentError(self, f"more than {TABLE_ROWS} rows")
+        setattr(namespace, self.dest, [*rows, value])
 
 
 def _add_format(subparser: argparse.ArgumentParser, *extra: str) -> None:
@@ -211,7 +262,7 @@ def _policy_of(args) -> certified.RefinementPolicy:
 
 
 def _cmd_plan(args, policy: certified.RefinementPolicy, out) -> int:
-    spec = planner.EpsSpec.parse(args.eps)
+    spec = args.eps
     if args.rule != "all":
         if args.rule == "bf":
             value = planner.ell_bf(spec)
@@ -283,17 +334,7 @@ def _bounded_grid(text: str) -> str:
     and exponent are read from its text before any Fraction exists, and the
     point count from the bounded ends.  A malformed grid passes, for the
     logs suite to name."""
-    for part in text.split(":"):
-        mantissa, _, exponent = part.lower().partition("e")
-        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-        if sum(c.isdecimal() for c in mantissa) > GRID_DIGITS:
-            raise argparse.ArgumentTypeError(f"a number has more than {GRID_DIGITS} digits")
-        if digits.isdecimal() and (
-            len(digits) > len(str(GRID_EXPONENT)) or int(digits) > GRID_EXPONENT
-        ):
-            raise argparse.ArgumentTypeError(
-                f"a decimal exponent exceeds {GRID_EXPONENT} in size"
-            )
+    _sized(text.split(":"), GRID_DIGITS, GRID_EXPONENT)
     try:
         start, stop, step = _grid_ends(text)
     except ValueError:
@@ -384,10 +425,7 @@ def _cmd_verify(args, policy: certified.RefinementPolicy, out) -> int:
 
 
 def _cmd_table(args, policy: certified.RefinementPolicy, out) -> int:
-    specs = None
-    if args.eps is not None:
-        specs = [planner.EpsSpec.parse(text) for text in args.eps]
-    rows = costs.reproduce_table(specs, policy)
+    rows = costs.reproduce_table(args.eps, policy)
     # before any output: a row at a slack the check has no values for is a
     # usage error, and stdout stays empty
     result = costs.check_against_expected(rows) if args.check else None
@@ -403,7 +441,7 @@ def _cmd_table(args, policy: certified.RefinementPolicy, out) -> int:
     if result is None:
         return EXIT_OK
     if args.format == "structured":
-        print(records.render_record(records.TableCheckResult.from_check(result)), file=out)
+        print(records.render_record(result), file=out)
     else:
         lines = [f"check: MISMATCH {m}" for m in result.mismatches] or [
             f"check: all {len(rows)} rows match the embedded values"
@@ -420,7 +458,7 @@ def _cmd_table(args, policy: certified.RefinementPolicy, out) -> int:
 def _cmd_certify(args, policy: certified.RefinementPolicy, out) -> int:
     if args.ell < 1:
         raise ValueError("--ell must be at least 1")
-    spec = planner.EpsSpec.parse(args.eps)
+    spec = args.eps
     holds = planner.certificate_sharp(args.ell, spec, policy)
     direct = planner.depth_comparison(args.ell, spec, policy)
     if args.format == "structured":
@@ -467,7 +505,7 @@ def _named_instances(args) -> list[tuple[str, testbed.CoverageInstance]]:
 
 
 def _cmd_testbed(args, policy: certified.RefinementPolicy, out) -> int:
-    spec = planner.EpsSpec.parse(args.eps)
+    spec = args.eps
     instances = _named_instances(args)
     for _, instance in instances:
         testbed._require_brute_size(instance)

@@ -197,11 +197,14 @@ class CellMismatch(Frozen):
 
 
 class TableCheck(Frozen):
+    """The table against its embedded values: ok, or the cells that differ."""
+
+    ok: bool
     mismatches: tuple[CellMismatch, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
+    def __post_init__(self):
+        if self.ok != (not self.mismatches):
+            raise ValueError("ok disagrees with mismatches")
 
 
 def check_against_expected(
@@ -237,7 +240,7 @@ def check_against_expected(
         ):
             if not mantissa_adjacent(mag.sci_mantissa, mag.sci_exponent, m, e):
                 bad.append(CellMismatch(label, column, f"{m}e{e}", mag.sci))
-    return TableCheck(tuple(bad))
+    return TableCheck(not bad, tuple(bad))
 
 
 _TEXT_HEADERS = ("eps", "ell_bf", "ell_ps", "ell_star", "factor_ps", "factor_star")

@@ -35,7 +35,7 @@ from typing import Optional, Union
 from ellplan._value import Frozen
 from ellplan.bounds import log_e_phi, rho, sharp_exponent
 from ellplan.certified import (
-    DEFAULT_POLICY, E, Comparison, Enclosure, PrecisionExhausted, RationalLike,
+    DEFAULT_POLICY, E, Comparison, PrecisionExhausted, RationalLike,
     RefinementPolicy, Verdict, _working_scale, cmp_certified, const, enclose_e,
     least_holding, log1p_of,
 )
@@ -76,10 +76,10 @@ def _terminating_decimal(value: Fraction) -> Optional[tuple[int, int]]:
     for a denominator 2^a 5^b; None when the denominator has another factor."""
     den = value.denominator
     twos = (den & -den).bit_length() - 1
-    rest, fives = den >> twos, 0
-    while rest % 5 == 0:
-        rest, fives = rest // 5, fives + 1
-    if rest != 1:
+    rest = den >> twos
+    # 5^b has bit length floor(b log2 5) + 1: read b off it, then check
+    fives = round((rest.bit_length() - 1) / math.log2(5))
+    if rest != 5**fives:
         return None
     k = max(twos, fives)
     return value.numerator * 10**k // den, k
@@ -187,32 +187,6 @@ def certificate_sharp(ell: int, eps: EpsLike, policy: RefinementPolicy = DEFAULT
     res = cmp_certified(const(sharp_exponent(ell)), log1p_of(E * const(value)), policy)
     what = f"certificate at ell={ell}, eps={value} unresolved"
     return _decided(res, [], what) is not Verdict.GREATER
-
-
-_RESIDUAL_BITS = 128
-
-
-def asymptotic_residual(eps: EpsLike, policy: RefinementPolicy = DEFAULT_POLICY) -> Enclosure:
-    """Enclosure of ell_star(eps) - (1/(2 e eps) - 5/12), for eps <= 1/10.
-
-    The drift term is linear in eps and the ceiling contributes up to one
-    unit, so the residual should land in [-1/2, 3/2] throughout the small-eps
-    regime; this function reports the enclosure, it does not police it.  The
-    width of e is magnified by about 1/eps, so e is enclosed at 128 bits plus
-    the bit length of ceil(1/eps), rounded up to whole 64-bit steps so that
-    nearby slacks share enclose_e's cache, and the residual's enclosure is
-    under 2^-128 wide at every eps.
-    """
-    value = _eps_value(eps)
-    if value > Fraction(1, 10):
-        raise ValueError(f"asymptotic regime needs eps <= 1/10, got {value}")
-    star = _ell_star_search(value, policy)[1]
-    size = math.ceil(1 / value).bit_length()
-    bits = _RESIDUAL_BITS + 64 * -(-size // 64)
-    enc = enclose_e(max(bits, policy.start_bits))
-    target_lo = 1 / (2 * enc.hi * value) - Fraction(5, 12)
-    target_hi = 1 / (2 * enc.lo * value) - Fraction(5, 12)
-    return Enclosure(star - target_hi, star - target_lo)
 
 
 class EllPlan(Frozen):

@@ -168,21 +168,6 @@ class Certification(Frozen):
         return cls(ell, eps, certificate_holds, direct.verdict, direct.bits_used)
 
 
-class TableCheckResult(Frozen):
-    """The table against its embedded values: ok, or the cells that differ."""
-
-    ok: bool
-    mismatches: tuple[costs.CellMismatch, ...]
-
-    def __post_init__(self):
-        if self.ok != (not self.mismatches):
-            raise ValueError("ok disagrees with mismatches")
-
-    @classmethod
-    def from_check(cls, check: costs.TableCheck) -> "TableCheckResult":
-        return cls(check.ok, check.mismatches)
-
-
 def _parse_verdict(text, path: str):
     verdicts = {verdict.word: verdict for verdict in certified.Verdict}
     if type(text) is not str or text not in verdicts:
@@ -277,7 +262,7 @@ _KINDS = {
         "ell": INT, "eps": _EPS, "certificate_holds": BOOL, "direct": _VERDICT,
         "bits": INT,
     }),
-    "table-check": (__name__, "TableCheckResult", {
+    "table-check": ("ellplan.costs", "TableCheck", {
         "ok": BOOL, "mismatches": list_of(_MISMATCH),
     }),
 }

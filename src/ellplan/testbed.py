@@ -601,9 +601,17 @@ def parse_instance(text: str) -> CoverageInstance:
     return read(text, _INSTANCE[1], InstanceFormatError, "not valid instance text")
 
 
+# an instance file's bytes, for about 8 s of parsing at the costliest weight
+# spelling (a digit with an exponent near 4,300, such as 7e-4299: 4 s a MB)
+INSTANCE_BYTES = 2_000_000
+
+
 def load_instance(path) -> CoverageInstance:
-    with open(path, encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read(INSTANCE_BYTES + 1)
+    if len(data) > INSTANCE_BYTES:
+        raise InstanceFormatError(f"{path}: instance file is larger than {INSTANCE_BYTES} bytes")
+    return parse_instance(data.decode("utf-8"))
 
 
 BUNDLED_INSTANCES = ("three_cover", "greedy_gap")

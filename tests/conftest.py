@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,3 +31,20 @@ def mpf_to_fraction(x) -> Fraction:
     sign, man, exp, _ = x._mpf_
     v = Fraction(man) * Fraction(2) ** exp
     return -v if sign else v
+
+
+def asymptotic_residual(eps) -> "Enclosure":
+    """Enclosure of ell_star(eps) - (1/(2 e eps) - 5/12), the residual of the
+    paper's expansion ell_star = 1/(2 e eps) - 5/12 + O(eps), which should
+    lie in [-1/2, 3/2] for eps <= 1/10.  The width of e is magnified by about
+    1/eps, so e is enclosed at 128 bits past the bit length of ceil(1/eps),
+    in whole 64-bit steps, and the enclosure is under 2^-128 wide at every
+    eps."""
+    from ellplan.certified import Enclosure, enclose_e
+    from ellplan.planner import ell_star
+
+    value = Fraction(eps)
+    star = ell_star(value)
+    e = enclose_e(128 + 64 * -(-math.ceil(1 / value).bit_length() // 64))
+    shift = star + Fraction(5, 12)
+    return Enclosure(shift - 1 / (2 * e.lo * value), shift - 1 / (2 * e.hi * value))

@@ -18,10 +18,9 @@ from ellplan.bounds import (
     verify_bound_ordering,
     verify_bounds,
 )
-from ellplan.certified import Verdict, cmp_certified, const, inv_e
+from ellplan.certified import Verdict, cmp_certified, const, exp_of
 from ellplan.costs import check_against_expected, reproduce_table
 from ellplan.planner import (
-    asymptotic_residual,
     certificate_sharp,
     depth_comparison,
     ell_ps,
@@ -35,6 +34,8 @@ from ellplan.testbed import (
     generate_random_instance,
     greedy,
 )
+
+from conftest import asymptotic_residual
 
 EXPECTED_TRIPLES = [
     (Fraction(1, 10), 11, 2, 2),
@@ -188,11 +189,11 @@ def test_criterion_7_certificate_soundness():
             eps = Fraction(k, 1000)
             holds = certificate_sharp(ell, eps)
             if holds:
-                direct = cmp_certified(const(value), inv_e() + const(eps))
+                direct = cmp_certified(const(value), exp_of(-1) + const(eps))
                 if direct.verdict is not Verdict.LESS:
                     unsound.append((ell, eps))
             elif witnesses == 0:
-                direct = cmp_certified(const(value), inv_e() + const(eps))
+                direct = cmp_certified(const(value), exp_of(-1) + const(eps))
                 if direct.verdict is Verdict.LESS:
                     witnesses += 1
     ok = not unsound and witnesses >= 1

@@ -16,7 +16,6 @@ from ellplan.certified import (
     const,
     enclose_log1p,
     exp_of,
-    inv_e,
     log1p_of,
 )
 from ellplan.bounds import (
@@ -156,7 +155,6 @@ def test_factor_table_gives_the_paper_factors(ell):
 def test_labels_name_the_values():
     assert log_e_phi(18394).describe() == "log(e*phi(18394))"
     assert E.describe() == "e"
-    assert inv_e().describe() == "(1 / e)"
     assert exp_of(Fraction(5, 12)).describe() == "exp(5/12)"
     assert exp_of(1).describe() == "exp(1)"
     assert log1p_of(Fraction(1, 3)).describe() == "log1p(1/3)"
@@ -177,9 +175,7 @@ class TestPhi:
         assert phi(3) == Fraction(27, 64) and rho(3) == Fraction(37, 64)
 
     def test_rho_2_beats_tenth_slack_target(self):
-        from ellplan.certified import inv_e
-
-        target = 1 - inv_e() - const(Fraction(1, 10))
+        target = 1 - exp_of(-1) - const(Fraction(1, 10))
         assert cmp_certified(rho(2), target).verdict is Verdict.GREATER
 
     @pytest.mark.parametrize("bad", [0, -3, 1.0, "2"])

@@ -20,7 +20,6 @@ from ellplan.certified import (
     enclose_exp,
     enclose_log1p,
     exp_of,
-    inv_e,
     least_holding,
     log1p_of,
 )
@@ -262,7 +261,7 @@ class TestFixedPointDescriptors:
 
     @pytest.mark.parametrize("bits", [1, 8, 16, 32, 64, 128, 512])
     def test_inv_e(self, bits):
-        assert_encloses(inv_e(), bits, lambda: 1 / mp.e)
+        assert_encloses(exp_of(-1), bits, lambda: 1 / mp.e)
 
     @given(
         st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
@@ -348,7 +347,7 @@ class TestNestedEnclosures:
     @settings(max_examples=20)
     def test_e_and_inv_e(self, bits, extra):
         assert_nested(E.enclose, bits, extra, lambda: +mp.e, 1)
-        assert_nested(inv_e().enclose, bits, extra, lambda: 1 / mp.e)
+        assert_nested(exp_of(-1).enclose, bits, extra, lambda: 1 / mp.e)
 
     @given(
         st.fractions(min_value=0, max_value=10, max_denominator=10**12),
@@ -405,7 +404,7 @@ class TestEnclosePadding:
 class TestCmpCertified:
     def test_rational_vs_polya_szego_factor(self):
         # 4/9 against (1/e)(1 + 1/4)
-        rhs = const(Fraction(5, 4)) * inv_e()
+        rhs = const(Fraction(5, 4)) * exp_of(-1)
         res = cmp_certified(Fraction(4, 9), rhs)
         assert res.verdict is Verdict.LESS
         assert res.bits_used >= 1
@@ -416,7 +415,7 @@ class TestCmpCertified:
         )
 
     def test_phi_17_18_straddle_the_one_percent_target(self):
-        target = inv_e() + const(Fraction(1, 100))
+        target = exp_of(-1) + const(Fraction(1, 100))
         phi17 = Fraction(17**17, 18**17)
         phi18 = Fraction(18**18, 19**18)
         assert cmp_certified(phi17, target).verdict is Verdict.GREATER

@@ -12,6 +12,8 @@ import pytest
 
 from ellplan.cli import (
     ELL_DIGITS,
+    EPS_DIGITS,
+    EPS_EXPONENT,
     EXIT_FAILURE,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -19,8 +21,10 @@ from ellplan.cli import (
     GRID_DIGITS,
     GRID_EXPONENT,
     GRID_POINTS,
+    INT_DIGITS,
     LMAX_LIMIT,
     RANDOM_LIMIT,
+    TABLE_ROWS,
     _Parser,
     _build_parser,
     _parse_grid,
@@ -30,7 +34,7 @@ from ellplan.cli import (
 from ellplan import costs, planner, testbed
 from ellplan.certified import RefinementPolicy
 from ellplan.costs import EXPECTED_TABLE, ExpectedRow
-from ellplan.planner import EllPlan
+from ellplan.planner import EllPlan, EpsSpec
 from ellplan.records import (
     SCHEMA_VERSION,
     InstanceCheck,
@@ -144,11 +148,23 @@ class TestPlanCommand:
         assert doc["kind"] == "depth"
         assert doc["ell"] == 184
 
+    # the slack is read by its option's parser type, so a bad one exits 3
+    # from the parse, with empty stdout
     def test_zero_eps_rejected(self, capsys):
-        assert run("plan", "--eps", "0")[0] == EXIT_USAGE
+        with pytest.raises(SystemExit) as err:
+            run("plan", "--eps", "0")
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "error: argument --eps: eps must be positive, got 0\n"
+        )
 
-    def test_unparseable_eps_rejected(self):
-        assert run("plan", "--eps", "abc")[0] == EXIT_USAGE
+    def test_unparseable_eps_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run("plan", "--eps", "abc")
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --eps: cannot parse eps from 'abc'\n")
 
     def test_csv_not_available(self):
         with pytest.raises(SystemExit) as err:
@@ -317,7 +333,7 @@ class TestTableCommand:
         assert [doc["kind"] for doc in docs] == ["table-row"] * 5 + ["table-check"]
         assert docs[-1]["ok"] is True and docs[-1]["mismatches"] == []
         *rows, check = parse_records(text)
-        assert len(rows) == 5 and check.ok and check.mismatches == ()
+        assert len(rows) == 5 and check == costs.TableCheck(True, ())
 
     def test_csv_check_keeps_stdout_to_the_table(self, capsys):
         code, text = run("table", "--check", "--format", "csv")
@@ -621,9 +637,18 @@ class TestUsageErrors:
         assert err.value.code == EXIT_USAGE
 
 
+_NINES = "9" * EPS_DIGITS
+_ROWS = [arg for k in range(TABLE_ROWS) for arg in ("--eps", f"1e-{k + 1}")]
+
+
+def _eps(value) -> EpsSpec:
+    return EpsSpec(Fraction(value))
+
+
 class TestOptionLimits:
-    """--lmax, --random and the digits of --ell are checked as each option
-    is parsed, before any work; nothing here runs a command at its limit."""
+    """--lmax, --random, the digits of --ell and of the integer options, the
+    grid, the eps texts and the table rows are checked as each option is
+    parsed, before any work; nothing here runs a command at its limit."""
 
     @pytest.mark.parametrize(
         "argv,dest,value",
@@ -642,10 +667,23 @@ class TestOptionLimits:
                     "0:1:x",
                 )
             ),
+            (["plan", "--eps", f"1e-{EPS_EXPONENT}"], "eps", _eps(Fraction(1, 10**EPS_EXPONENT))),
+            (["certify", "--ell", "2", "--eps", f"1/{_NINES}"], "eps", _eps(Fraction(1, int(_NINES)))),
+            (["table", "--eps", f"{_NINES}/{_NINES}"], "eps", [_eps(1)]),
+            (["testbed", "--bundled", "three_cover", "--eps", f"0.{_NINES[1:]}e-{EPS_EXPONENT}"],
+             "eps", _eps(Fraction(int(_NINES[1:]), 10 ** (EPS_DIGITS - 1 + EPS_EXPONENT)))),
+            (["table", *_ROWS], "eps", [_eps(Fraction(1, 10 ** (k + 1))) for k in range(TABLE_ROWS)]),
+            (["plan", "--eps", "1e-2", "--precision-start", "9" * INT_DIGITS], "precision_start",
+             10**INT_DIGITS - 1),
+            (["verify", "--suite", "bounds", "--precision-cap", "9" * INT_DIGITS], "precision_cap",
+             10**INT_DIGITS - 1),
+            (["testbed", "--random", "1", "--seed", "9" * INT_DIGITS], "seed", 10**INT_DIGITS - 1),
         ],
         ids=[
             "lmax", "random", "ell", "ell-leading-zeros", "grid-points", "grid-digits",
             "grid-exponent", "grid-negative-exponent", "grid-malformed-for-the-suite",
+            "eps-exponent", "eps-denominator-digits", "eps-both-sides", "eps-digits-and-exponent",
+            "table-rows", "precision-start", "precision-cap", "seed",
         ],
     )
     def test_at_the_limit_parses(self, argv, dest, value):
@@ -670,16 +708,37 @@ class TestOptionLimits:
              f"argument --grid: a decimal exponent exceeds {GRID_EXPONENT} in size"),
             (["verify", "--suite", "bounds", "--grid", "0:1:1e-" + "1" * 10**6],
              f"argument --grid: a decimal exponent exceeds {GRID_EXPONENT} in size"),
+            (["plan", "--eps", f"1e-{EPS_EXPONENT + 1}"],
+             f"argument --eps: a decimal exponent exceeds {EPS_EXPONENT} in size"),
+            (["certify", "--ell", "2", "--eps", f"1/1{'0' * EPS_DIGITS}"],
+             f"argument --eps: a number has more than {EPS_DIGITS} digits"),
+            (["testbed", "--bundled", "three_cover", "--eps", f"{_NINES}9/1"],
+             f"argument --eps: a number has more than {EPS_DIGITS} digits"),
+            (["table", "--eps", f"0.{_NINES}"],
+             f"argument --eps: a number has more than {EPS_DIGITS} digits"),
+            (["table", *_ROWS, "--eps", "1e-1"], f"argument --eps: more than {TABLE_ROWS} rows"),
+            (["plan", "--eps", "1e-2", "--precision-start", "1" * (INT_DIGITS + 1)],
+             f"argument --precision-start: has more than {INT_DIGITS} digits"),
+            (["table", "--precision-cap", "1" * (INT_DIGITS + 1)],
+             f"argument --precision-cap: has more than {INT_DIGITS} digits"),
+            (["plan", "--eps", "1e-2", "--precision-cap", "1" * 300_000],
+             f"argument --precision-cap: has more than {INT_DIGITS} digits"),
+            (["testbed", "--random", "1", "--seed", "-" + "1" * (INT_DIGITS + 1)],
+             f"argument --seed: has more than {INT_DIGITS} digits"),
         ],
         ids=[
             "lmax", "lmax-long", "random", "ell", "grid-points", "grid-digits",
-            "grid-exponent", "grid-exponent-long",
+            "grid-exponent", "grid-exponent-long", "eps-exponent", "eps-denominator-digits",
+            "eps-numerator-digits", "eps-decimal-digits", "table-rows", "precision-start",
+            "precision-cap", "precision-cap-long", "seed",
         ],
     )
     def test_past_the_limit_exits_3(self, argv, message, capsys):
         out = StringIO()
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as err:
             main(argv, out)
+        assert time.perf_counter() - start < 1.0
         assert err.value.code == EXIT_USAGE
         assert out.getvalue() == ""
         captured = capsys.readouterr()
@@ -701,19 +760,88 @@ class TestOptionLimits:
             main([command, "--help"])
         assert f"at most {limit}" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (["plan", "--eps", "1e-2"], f"at most {EPS_DIGITS} digits"),
+            (["table"], f"at most {TABLE_ROWS} rows"),
+            (["certify", "--ell", "2", "--eps", "1e-2"], f"exponent of at most {EPS_EXPONENT}"),
+            (["testbed", "--bundled", "three_cover"], f"at most {INT_DIGITS} digits"),
+            (["verify", "--suite", "bounds"], f"each at most {INT_DIGITS} digits"),
+        ],
+        ids=["eps", "table-rows", "certify-eps", "seed", "precision"],
+    )
+    def test_help_states_the_text_limits(self, argv, text, capsys):
+        with pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        assert text in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize("grid", ["0:1:1e-100000", "0:1:1e-100000000"])
     def test_deep_grid_exits_3_at_once(self, grid):
         # each grid has 10^100000 points or more: run it with a timeout
-        src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
-        done = subprocess.run(
-            [sys.executable, "-m", "ellplan.cli", "verify", "--suite", "logs", "--grid", grid],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=20,
-        )
+        done = _process("verify", "--suite", "logs", "--grid", grid)
         assert done.returncode == EXIT_USAGE
         assert done.stdout == ""
         assert done.stderr.endswith(
             f"argument --grid: a decimal exponent exceeds {GRID_EXPONENT} in size\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--ell", "5", "--eps", "1e-1000000"],
+            ["certify", "--ell", "5", "--eps", "1e-3000000"],
+            ["plan", "--eps", "1e-10000000"],
+        ],
+        ids=["certify-1e-1000000", "certify-1e-3000000", "plan-1e-10000000"],
+    )
+    def test_deep_eps_exits_3_at_once(self, argv):
+        # unbounded, these took 33 s, over 60 s and 10 s: run with a timeout
+        done = _process(*argv)
+        assert done.returncode == EXIT_USAGE
+        assert done.stdout == ""
+        assert done.stderr.endswith(
+            f"argument --eps: a decimal exponent exceeds {EPS_EXPONENT} in size\n"
+        )
+
+
+def _process(*argv) -> subprocess.CompletedProcess:
+    """The CLI run as a process with a timeout, from this tree's source."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+    return subprocess.run(
+        [sys.executable, "-m", "ellplan.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=20,
+    )
+
+
+class TestInstanceFileLimit:
+    """An instance file is read to at most INSTANCE_BYTES bytes."""
+
+    @staticmethod
+    def _file(tmp_path, size: int):
+        text = json.dumps(
+            {"universe": {"a": 1}, "ground": {"e1": ["a"]}, "matroid": {"type": "uniform", "rank": 1}}
+        )
+        path = tmp_path / "padded.json"
+        path.write_bytes(text.encode().ljust(size))
+        return path
+
+    def test_at_the_limit_parses(self, tmp_path):
+        path = self._file(tmp_path, testbed.INSTANCE_BYTES)
+        assert testbed.load_instance(path).n == 1
+
+    def test_past_the_limit_exits_3(self, tmp_path, capsys):
+        path = self._file(tmp_path, testbed.INSTANCE_BYTES + 1)
+        assert run("testbed", "--instance", str(path)) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            f"error: {path}: instance file is larger than {testbed.INSTANCE_BYTES} bytes\n"
+        )
+
+    def test_past_the_limit_exits_3_at_once(self, tmp_path):
+        path = self._file(tmp_path, testbed.INSTANCE_BYTES + 1)
+        done = _process("testbed", "--instance", str(path))
+        assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+        assert done.stderr.endswith(f"larger than {testbed.INSTANCE_BYTES} bytes\n")
 
 
 class TestOneParser:

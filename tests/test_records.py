@@ -12,7 +12,7 @@ import pytest
 from ellplan import cli
 from ellplan._codecs import FieldError, _JsonNumber
 from ellplan.certified import Verdict
-from ellplan.costs import POW2_DIGITS, BigMagnitude, CellMismatch, reproduce_table
+from ellplan.costs import POW2_DIGITS, BigMagnitude, CellMismatch, TableCheck, reproduce_table
 from ellplan.planner import EpsSpec, plan
 from ellplan.records import (
     _KINDS,
@@ -25,7 +25,6 @@ from ellplan.records import (
     Note,
     RecordError,
     SweepSummary,
-    TableCheckResult,
     _parse_pow2,
     parse_record,
     parse_records,
@@ -316,7 +315,7 @@ def sample_values(sample_plan, sample_rows, sample_report):
         LogCheckSummary("log_pade", 5, False, (Fraction(1, 4),), (Fraction(3, 4), Fraction(1))),
         ExpansionPoint(100, Fraction(1, 3), Fraction(1, 2), Fraction(1), True),
         Certification(5, EpsSpec(Fraction(1, 10)), True, Verdict.LESS, 32),
-        TableCheckResult(False, (CellMismatch("1e-1", "ell_bf", "12", "11"),)),
+        TableCheck(False, (CellMismatch("1e-1", "ell_bf", "12", "11"),)),
     ]
     return {json.loads(render_record(value))["kind"]: value for value in values}
 

@@ -27,7 +27,7 @@ from ellplan.certified import (
     RefinementPolicy,
     cmp_certified,
     enclose_e,
-    inv_e,
+    exp_of,
 )
 from ellplan.costs import (
     EXPECTED_TABLE,
@@ -45,7 +45,6 @@ from ellplan.records import (
     LogCheckSummary,
     Note,
     SweepSummary,
-    TableCheckResult,
 )
 from ellplan.testbed import (
     OracleCounter,
@@ -70,7 +69,7 @@ def _examples() -> list:
     mismatch = CellMismatch("1e-2", "ell_star", "18", "19")
     return [
         enclose_e(64),
-        cmp_certified(Fraction(1, 3), inv_e()),
+        cmp_certified(Fraction(1, 3), exp_of(-1)),
         RefinementPolicy(16, 256),
         sweep,
         sweep.entries[0],
@@ -84,7 +83,7 @@ def _examples() -> list:
                  factor, factor),
         EXPECTED_TABLE[2],
         mismatch,
-        TableCheck((mismatch,)),
+        TableCheck(False, (mismatch,)),
         uniform.matroid,
         greedy_gap.matroid.blocks[0],
         greedy_gap.matroid,
@@ -102,7 +101,6 @@ def _examples() -> list:
         Certification.from_comparison(
             18, depth_plan.eps, True, depth_comparison(18, depth_plan.eps)
         ),
-        TableCheckResult.from_check(TableCheck((mismatch,))),
     ]
 
 
