@@ -59,7 +59,6 @@ _EXPORTS = {
         "brute_force_opt",
         "bundled_instance",
         "check_monotone_submodular",
-        "f_eval",
         "generate_random_instance",
         "greedy",
         "load_instance",

@@ -145,11 +145,6 @@ def bound_factor(kind: BoundKind, ell: int) -> RealExpr:
     return const(Fraction(den + num, den))
 
 
-def bound_value(kind: BoundKind, ell: int) -> RealExpr:
-    """Descriptor of the upper bound itself, comparable to any precision."""
-    return bound_factor(kind, ell) * exp_of(-1)
-
-
 def _log_bound_factor(kind: BoundKind, ell: int) -> RealExpr:
     # log of bound_factor: the sharp exponent itself, else log1p(factor - 1)
     if kind is BoundKind.SHARP:

@@ -522,17 +522,19 @@ class Comparison(Frozen):
 
 
 class RefinementPolicy(Frozen):
-    """Geometric precision ladder for comparisons: start, double, cap."""
+    """Geometric precision ladder for comparisons: 32 bits (or the cap, if
+    lower), doubled up to the cap."""
 
-    start_bits: int = 32
     cap_bits: int = 4096
 
     def __post_init__(self) -> None:
-        if not (1 <= self.start_bits <= self.cap_bits):
-            raise ValueError(
-                f"need 1 <= start_bits <= cap_bits, got "
-                f"{self.start_bits}..{self.cap_bits}"
-            )
+        if self.cap_bits < 8:
+            raise ValueError(f"precision cap must be at least 8 bits, got {self.cap_bits}")
+
+    @property
+    def start_bits(self) -> int:
+        """The first rung."""
+        return min(32, self.cap_bits)
 
     def ladder(self) -> Iterator[int]:
         bits = self.start_bits

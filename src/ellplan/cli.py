@@ -11,11 +11,11 @@ Exit codes are part of the contract:
 Structured output is one schema-tagged line per object (see records).
 Every setting comes from the command line; no environment variable is
 read.  The parser is the one place a setting is declared, and each
-subcommand takes only the options its command reads: `--precision-start`
-and `--precision-cap` on all five, `--format csv` on `table` alone and
-`--seed` on `testbed` alone.  Any other option, like any unknown argument,
-exits 3.  `main` checks the precision pair as it builds the one policy every
-command runs under.  Every command runs on one thread.
+subcommand takes only the options its command reads: `--precision-cap` on
+all five, `--format csv` on `table` alone and `--seed` on `testbed` alone.
+Any other option, like any unknown argument, exits 3.  The cap is the one
+precision setting: every ladder starts at 32 bits, or at the cap if that is
+lower.  Every command runs on one thread.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ LMAX_LIMIT, RANDOM_LIMIT, ELL_DIGITS = 100_000, 5_000, 20_000
 GRID_POINTS, GRID_DIGITS, GRID_EXPONENT = 40_000, 30, 30
 # --eps: the digits of each side of p/q and the decimal exponent, and table rows
 EPS_DIGITS, EPS_EXPONENT, TABLE_ROWS = 20_000, 20_000, 100
-# --precision-start, --precision-cap and --seed: Python's own default digit
-# limit for int(text), which main lifts for its exact rationals
-INT_DIGITS = 4_300
+# --seed: Python's own default digit limit for int(text), which main lifts
+# for its exact rationals; --precision-cap: the highest rung
+INT_DIGITS, CAP_BITS = 4_300, 65_536
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,15 +87,10 @@ def _build_parser() -> _Parser:
     per call is cyclic garbage that stays until a full collection."""
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument(
-        "--precision-start", type=_bounded_int(max_digits=INT_DIGITS),
-        default=certified.DEFAULT_POLICY.start_bits, metavar="BITS",
-        help="first rung of the precision ladder (default %(default)s)",
-    )
-    precision.add_argument(
-        "--precision-cap", type=_bounded_int(max_digits=INT_DIGITS),
+        "--precision-cap", type=_bounded_int(CAP_BITS),
         default=certified.DEFAULT_POLICY.cap_bits, metavar="BITS",
-        help=f"last rung of the ladder (default %(default)s); each at most {INT_DIGITS} "
-        "digits, and 8 <= start <= cap <= 65536",
+        help="last rung of the precision ladder, which starts at 32 bits or at the "
+        f"cap if lower (default %(default)s; from 8 to {CAP_BITS})",
     )
 
     parser = _Parser(
@@ -244,17 +239,6 @@ def _add_format(subparser: argparse.ArgumentParser, *extra: str) -> None:
         "--format", choices=("text", "structured", *extra), default="text",
         help="output format (default %(default)s)",
     )
-
-
-def _policy_of(args) -> certified.RefinementPolicy:
-    """The precision ladder the command runs under, from its two options."""
-    start, cap = args.precision_start, args.precision_cap
-    if not 8 <= start <= cap <= 65536:
-        raise ValueError(
-            "need 8 <= precision start <= precision cap <= 65536, got "
-            f"start={start} cap={cap}"
-        )
-    return certified.RefinementPolicy(start_bits=start, cap_bits=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +600,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args, _policy_of(args), out)
+        policy = certified.RefinementPolicy(cap_bits=args.precision_cap)
+        code = _COMMANDS[args.command](args, policy, out)
         # a reader that has gone shows up here, not at the exit-time flush
         out.flush()
         return code

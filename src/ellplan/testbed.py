@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import AbstractSet, Callable, Iterable, Optional, Union
+from typing import AbstractSet, Callable, Optional, Union
 
 from ellplan._codecs import INT, WEIGHT, list_of, mapping, names, object_of, read, tagged
 from ellplan._value import Frozen
@@ -160,26 +160,6 @@ class CoverageInstance(Frozen):
         )
 
 
-def f_eval(
-    instance: CoverageInstance,
-    subset: Iterable[str],
-    counter: Optional[OracleCounter] = None,
-) -> Fraction:
-    """Coverage value of a set of ground elements; one oracle tick."""
-    names = set(subset)
-    known = set(instance.element_names)
-    stray = names - known
-    if stray:
-        raise ValueError(f"not ground elements: {sorted(stray)}")
-    if counter is not None:
-        counter.tick()
-    members = dict(instance.ground)
-    covered: set[str] = set()
-    for name in names:
-        covered |= members[name]
-    return sum((w for item, w in instance.universe if item in covered), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # fast exact internals: weights scaled to integers, subsets as bitmasks
 
@@ -242,15 +222,6 @@ class _Masks(Frozen):
         """Whether the independent mask stays independent with element i."""
         block, cap = self.blocks[i]
         return (mask & block).bit_count() < cap
-
-    def independent(self, mask: int) -> bool:
-        rest = mask
-        while rest:
-            block, cap = self.blocks[(rest & -rest).bit_length() - 1]
-            if (mask & block).bit_count() > cap:
-                return False
-            rest &= ~block  # each block once
-        return True
 
 
 def _names_of(instance: CoverageInstance, mask: int) -> frozenset[str]:
@@ -322,21 +293,6 @@ def _scan_table(n: int, values, label: Callable[[int], object]) -> PropertyCheck
         if mono is not None and sub is not None:
             break
     return PropertyCheck(mono, sub)
-
-
-def check_tabulated(n: int, f: Callable[[frozenset[int]], object]) -> PropertyCheck:
-    """Exhaustive check of an arbitrary set function on {0..n-1}.
-
-    Evaluates f once per subset and scans the local forms (see _scan_table).
-    Witness sets are frozensets of indices; the x in a submodularity witness
-    is an index.
-    """
-    if n > CHECK_LIMIT:
-        raise ValueError(f"exhaustive check limited to n <= {CHECK_LIMIT}, got {n}")
-    subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
-    values = [f(s) for s in subsets]
-
-    return _scan_table(n, values, lambda mask: subsets[mask])
 
 
 def check_monotone_submodular(
@@ -412,37 +368,6 @@ def brute_force_opt(
             extend(new_mask, i + 1)
 
     extend(0, 0)
-    return _names_of(instance, best_mask), Fraction(best_value, masks.denominator)
-
-
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def brute_force_opt_by_mask(
-    instance: CoverageInstance, counter: Optional[OracleCounter] = None
-) -> tuple[frozenset[str], Fraction]:
-    """Second, independently coded enumerator: numeric mask order.
-
-    Visits subsets in increasing bitmask order (a different order than the
-    depth-first enumerator) and applies the same lexicographic tie-break
-    explicitly.
-    """
-    _require_brute_size(instance)
-    masks = _Masks.of(instance)
-
-    # the empty set comes first and always beats this sentinel
-    best_mask, best_value = 0, -1
-    for mask in range(1 << instance.n):
-        if not masks.independent(mask):
-            continue
-        if counter is not None:
-            counter.tick()
-        value = masks.value(mask)
-        if value > best_value or (
-            value == best_value and _mask_indices(mask) < _mask_indices(best_mask)
-        ):
-            best_value, best_mask = value, mask
     return _names_of(instance, best_mask), Fraction(best_value, masks.denominator)
 
 

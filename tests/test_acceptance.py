@@ -28,14 +28,12 @@ from ellplan.planner import (
 )
 from ellplan.testbed import (
     brute_force_opt,
-    brute_force_opt_by_mask,
     check_monotone_submodular,
-    check_tabulated,
     generate_random_instance,
     greedy,
 )
 
-from conftest import asymptotic_residual
+from conftest import asymptotic_residual, brute_force_opt_by_mask, check_tabulated
 
 EXPECTED_TRIPLES = [
     (Fraction(1, 10), 11, 2, 2),

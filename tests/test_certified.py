@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from ellplan.certified import (
     exp_of,
     least_holding,
     log1p_of,
+    _log1p_fixed,
 )
 
 from conftest import mpf_to_fraction
@@ -180,6 +182,39 @@ class TestEncloseLog1p:
         assert enclose_log1p(x, bits).contains_interval(
             enclose_log1p(x, bits + extra)
         )
+
+
+def _log1p_kernel_cases() -> list[tuple[int, int, int]]:
+    """(num, den, w): 5,000 seeded cases with num and den log-uniform up to
+    10^6 and w from 4 to 64, then the edge cases: x = 0; x = 1 and
+    x = 2^j - 1, whose 1 + x is a power of two; x = 1/3; and x > 1 with
+    k > 0 and a remainder for the artanh series, down to the smallest w."""
+    rng = random.Random(5000)
+    cases = [
+        (round(10 ** rng.uniform(0, 6)), round(10 ** rng.uniform(0, 6)), rng.randint(4, 64))
+        for _ in range(5000)
+    ]
+    edges = [(0, 1), (1, 1), (3, 1), (7, 1), (2**19 - 1, 1), (1, 3), (5, 2), (10**6, 1),
+             (999983, 17), (10**6 - 1, 10**6)]
+    return cases + [(num, den, w) for num, den in edges for w in (4, 5, 8, 31, 64)]
+
+
+class TestLog1pKernel:
+    """_log1p_fixed's interval at scale w contains log(1 + num/den), at small
+    w where one ulp lost to inward rounding shows.  Every caller pads or
+    compares with guard bits, so only a test of the kernel itself sees a
+    rounding mistake of a few ulps."""
+
+    def test_contains_mpmath_at_600_bits(self):
+        kernel = _log1p_fixed.__wrapped__  # the kernel, not its cache
+        misses = []
+        with mp.workprec(600):
+            for num, den, w in _log1p_kernel_cases():
+                lo, hi = kernel(num, den, w)
+                value = mp.ldexp(mp.log1p(mp.mpf(num) / den), w)
+                if not lo <= value <= hi:
+                    misses.append((num, den, w))
+        assert misses == []
 
 
 class TestComposition:
@@ -422,8 +457,7 @@ class TestCmpCertified:
         assert cmp_certified(phi18, target).verdict is Verdict.LESS
 
     def test_unresolved_on_identical_transcendentals(self):
-        policy = RefinementPolicy(start_bits=8, cap_bits=64)
-        res = cmp_certified(E, E + const(0), policy)
+        res = cmp_certified(E, E + const(0), RefinementPolicy(64))
         assert res.verdict is Verdict.UNRESOLVED
         assert res.bits_used == 64
 
@@ -453,11 +487,18 @@ class TestCmpCertified:
     @given(st.fractions(min_value=0, max_value=6, max_denominator=300))
     @settings(max_examples=40)
     def test_verdict_stable_under_escalation(self, x):
+        # the one rung of 16 bits, the ladder from 32 bits, and the two
+        # sides enclosed at 512 bits: no verdict contradicts another
         a, b = log1p_of(x), const(x)  # log(1+x) <= x, equality only at 0
-        low = cmp_certified(a, b, RefinementPolicy(32, 4096))
-        high = cmp_certified(a, b, RefinementPolicy(512, 4096))
+        low = cmp_certified(a, b, RefinementPolicy(16))
+        high = cmp_certified(a, b, RefinementPolicy(4096))
         if low.verdict is not Verdict.UNRESOLVED:
             assert high.verdict is low.verdict
+        ea, eb = a.enclose(512), b.enclose(512)
+        if ea.hi < eb.lo:
+            assert high.verdict is Verdict.LESS
+        elif eb.hi < ea.lo:
+            assert high.verdict is Verdict.GREATER
 
     def test_descriptor_coercion_rejects_junk(self):
         with pytest.raises(TypeError):
@@ -470,14 +511,25 @@ class TestRefinementPolicy:
         assert policy.start_bits == 32 and policy.cap_bits == 4096
         assert list(policy.ladder()) == [32, 64, 128, 256, 512, 1024, 2048, 4096]
 
+    def test_the_cap_is_the_one_field(self):
+        assert RefinementPolicy._fields == ("cap_bits",)
+        with pytest.raises(TypeError):
+            RefinementPolicy(32, 4096)
+        with pytest.raises(AttributeError):
+            RefinementPolicy().start_bits = 8
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RefinementPolicy(start_bits=0)
-        with pytest.raises(ValueError):
-            RefinementPolicy(start_bits=128, cap_bits=64)
+        for cap in (7, 0, -8):
+            with pytest.raises(ValueError, match=f"at least 8 bits, got {cap}$"):
+                RefinementPolicy(cap)
 
     def test_single_rung(self):
-        assert list(RefinementPolicy(64, 64).ladder()) == [64]
+        for cap in (8, 16, 31, 32):
+            policy = RefinementPolicy(cap)
+            assert policy.start_bits == cap and list(policy.ladder()) == [cap]
+
+    def test_cap_between_doublings(self):
+        assert list(RefinementPolicy(100).ladder()) == [32, 64, 100]
 
 
 class TestLeastHolding:

@@ -11,6 +11,7 @@ from io import StringIO
 import pytest
 
 from ellplan.cli import (
+    CAP_BITS,
     ELL_DIGITS,
     EPS_DIGITS,
     EPS_EXPONENT,
@@ -28,7 +29,6 @@ from ellplan.cli import (
     _Parser,
     _build_parser,
     _parse_grid,
-    _policy_of,
     main,
 )
 from ellplan import costs, planner, testbed
@@ -53,25 +53,17 @@ def run(*argv):
 
 
 class TestRunConfig:
-    """The run's settings as main resolves them from the precision options."""
+    """The run's policy as main builds it from --precision-cap: a cap below
+    8 bits passes the parser and is refused by the policy, exit 3."""
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"precision_start_bits": 4},
-            {"precision_start_bits": 64, "precision_cap_bits": 32},
-            {"precision_cap_bits": 2**17},
-        ],
+        "kwargs", [{"--precision-cap": 7}, {"--precision-cap": 0}, {"--precision-cap": -8}]
     )
     def test_invalid(self, kwargs, capsys):
-        flags = {
-            "precision_start_bits": "--precision-start",
-            "precision_cap_bits": "--precision-cap",
-        }
-        window = [arg for key, bits in kwargs.items() for arg in (flags[key], str(bits))]
-        assert run("plan", "--eps", "1e-2", *window) == (EXIT_USAGE, "")
+        (flag, cap), = kwargs.items()
+        assert run("plan", "--eps", "1e-2", flag, str(cap)) == (EXIT_USAGE, "")
         err = capsys.readouterr().err
-        assert err.startswith("error: need 8 <= precision start <= precision cap")
+        assert err == f"error: precision cap must be at least 8 bits, got {cap}\n"
 
 
 # a small valid argv of each subcommand
@@ -110,6 +102,17 @@ class TestOptionsPerSubcommand:
         assert err.value.code == EXIT_USAGE
         assert out.getvalue() == ""
         assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+    def test_precision_start_is_gone(self, command, capsys):
+        # every ladder starts at 32 bits, or at the cap if that is lower
+        argv = [*_MINIMAL_ARGV[command], "--precision-start", "8"]
+        out = StringIO()
+        with pytest.raises(SystemExit) as err:
+            main(argv, out)
+        assert err.value.code == EXIT_USAGE
+        assert out.getvalue() == ""
+        assert "unrecognized arguments: --precision-start 8" in capsys.readouterr().err
 
 
 class TestPlanCommand:
@@ -172,16 +175,14 @@ class TestPlanCommand:
         assert err.value.code == EXIT_USAGE
 
     def test_precision_cap_reached_is_exit_two(self):
-        code, _ = run(
-            "plan", "--eps", "1e-4", "--precision-start", "8", "--precision-cap", "8"
-        )
+        code, _ = run("plan", "--eps", "1e-4", "--precision-cap", "8")
         assert code == EXIT_INCONCLUSIVE
 
     def test_environment_does_not_set_cap(self, monkeypatch):
         # the variable --precision-cap used to fall back to, spelled in two
         # parts so that a search for the removed name finds no live use
         monkeypatch.setenv("ELLPLAN_" "PRECISION_CAP", "8")
-        code, _ = run("plan", "--eps", "1e-4", "--precision-start", "8")
+        code, _ = run("plan", "--eps", "1e-4")
         assert code == EXIT_OK
 
 
@@ -625,11 +626,11 @@ class TestUsageErrors:
         assert err.value.code == EXIT_USAGE
 
     def test_bad_precision_window(self):
-        assert run("plan", "--eps", "1e-2", "--precision-start", "4")[0] == EXIT_USAGE
+        assert run("plan", "--eps", "1e-2", "--precision-cap", "4")[0] == EXIT_USAGE
 
     def test_default_precision_window(self):
         args = _build_parser().parse_args(["plan", "--eps", "1e-2"])
-        assert _policy_of(args) == RefinementPolicy(start_bits=32, cap_bits=4096)
+        assert RefinementPolicy(args.precision_cap) == RefinementPolicy(cap_bits=4096)
 
     def test_unknown_format(self):
         with pytest.raises(SystemExit) as err:
@@ -673,17 +674,15 @@ class TestOptionLimits:
             (["testbed", "--bundled", "three_cover", "--eps", f"0.{_NINES[1:]}e-{EPS_EXPONENT}"],
              "eps", _eps(Fraction(int(_NINES[1:]), 10 ** (EPS_DIGITS - 1 + EPS_EXPONENT)))),
             (["table", *_ROWS], "eps", [_eps(Fraction(1, 10 ** (k + 1))) for k in range(TABLE_ROWS)]),
-            (["plan", "--eps", "1e-2", "--precision-start", "9" * INT_DIGITS], "precision_start",
-             10**INT_DIGITS - 1),
-            (["verify", "--suite", "bounds", "--precision-cap", "9" * INT_DIGITS], "precision_cap",
-             10**INT_DIGITS - 1),
+            (["verify", "--suite", "bounds", "--precision-cap", "0" * 30 + str(CAP_BITS)],
+             "precision_cap", CAP_BITS),
             (["testbed", "--random", "1", "--seed", "9" * INT_DIGITS], "seed", 10**INT_DIGITS - 1),
         ],
         ids=[
             "lmax", "random", "ell", "ell-leading-zeros", "grid-points", "grid-digits",
             "grid-exponent", "grid-negative-exponent", "grid-malformed-for-the-suite",
             "eps-exponent", "eps-denominator-digits", "eps-both-sides", "eps-digits-and-exponent",
-            "table-rows", "precision-start", "precision-cap", "seed",
+            "table-rows", "precision-cap", "seed",
         ],
     )
     def test_at_the_limit_parses(self, argv, dest, value):
@@ -717,20 +716,18 @@ class TestOptionLimits:
             (["table", "--eps", f"0.{_NINES}"],
              f"argument --eps: a number has more than {EPS_DIGITS} digits"),
             (["table", *_ROWS, "--eps", "1e-1"], f"argument --eps: more than {TABLE_ROWS} rows"),
-            (["plan", "--eps", "1e-2", "--precision-start", "1" * (INT_DIGITS + 1)],
-             f"argument --precision-start: has more than {INT_DIGITS} digits"),
-            (["table", "--precision-cap", "1" * (INT_DIGITS + 1)],
-             f"argument --precision-cap: has more than {INT_DIGITS} digits"),
+            (["table", "--precision-cap", str(CAP_BITS + 1)],
+             f"argument --precision-cap: must be at most {CAP_BITS}"),
             (["plan", "--eps", "1e-2", "--precision-cap", "1" * 300_000],
-             f"argument --precision-cap: has more than {INT_DIGITS} digits"),
+             f"argument --precision-cap: must be at most {CAP_BITS}"),
             (["testbed", "--random", "1", "--seed", "-" + "1" * (INT_DIGITS + 1)],
              f"argument --seed: has more than {INT_DIGITS} digits"),
         ],
         ids=[
             "lmax", "lmax-long", "random", "ell", "grid-points", "grid-digits",
             "grid-exponent", "grid-exponent-long", "eps-exponent", "eps-denominator-digits",
-            "eps-numerator-digits", "eps-decimal-digits", "table-rows", "precision-start",
-            "precision-cap", "precision-cap-long", "seed",
+            "eps-numerator-digits", "eps-decimal-digits", "table-rows", "precision-cap",
+            "precision-cap-long", "seed",
         ],
     )
     def test_past_the_limit_exits_3(self, argv, message, capsys):
@@ -767,7 +764,7 @@ class TestOptionLimits:
             (["table"], f"at most {TABLE_ROWS} rows"),
             (["certify", "--ell", "2", "--eps", "1e-2"], f"exponent of at most {EPS_EXPONENT}"),
             (["testbed", "--bundled", "three_cover"], f"at most {INT_DIGITS} digits"),
-            (["verify", "--suite", "bounds"], f"each at most {INT_DIGITS} digits"),
+            (["verify", "--suite", "bounds"], f"from 8 to {CAP_BITS}"),
         ],
         ids=["eps", "table-rows", "certify-eps", "seed", "precision"],
     )
@@ -803,6 +800,21 @@ class TestOptionLimits:
         assert done.stderr.endswith(
             f"argument --eps: a decimal exponent exceeds {EPS_EXPONENT} in size\n"
         )
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan", "--eps", "1e-2"], ["table", "--eps", "1e-1"]],
+        ids=["plan", "table"],
+    )
+    def test_top_cap_answers_at_once(self, argv):
+        # the cap is only the last rung: with a start rung at the cap these
+        # took 51 s and 91 s
+        start = time.perf_counter()
+        done = _process(*argv, "--precision-cap", str(CAP_BITS))
+        assert time.perf_counter() - start < 2.0
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout == _process(*argv).stdout
 
 
 def _process(*argv) -> subprocess.CompletedProcess:

@@ -1,6 +1,6 @@
 """Source hygiene that a linter would check: unused imports, unused local
-names, unused private module-level names, the exports and CLI options that
-no command reads.
+names, unused private module-level names, package definitions that only
+tests reach, the exports and CLI options that no command reads.
 
 The source checks read the files with ``ast`` and import none of them; the
 option check runs each CLI command in-process.  None starts a process.
@@ -183,6 +183,51 @@ def test_no_unused_private_module_names():
     assert not unused, "unreferenced private names:\n" + "\n".join(unused)
 
 
+# module-level definitions that nothing in src/, bench/ or scripts/ names,
+# with the reason each stays
+_REACHED_OTHERWISE = {
+    ("__init__.py", "__getattr__"): "Python calls it for each lazy export (PEP 562)",
+}
+
+
+def _names_in_tables(tree: ast.Module) -> set[str]:
+    """The strings of the ``_KINDS`` and ``_EXPORTS`` literals: each names a
+    definition that a record kind or an export reaches by name."""
+    return {
+        node.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id in ("_KINDS", "_EXPORTS") for t in stmt.targets)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_package_holds_only_what_runs():
+    """Every module-level function and class in the package is named by
+    another definition in src/, or from bench/ or scripts/; a definition
+    that only tests reach belongs in the tests."""
+    referenced, defined = set(), {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        referenced |= _names_in_tables(tree)
+        for node in tree.body:
+            refs = _referenced_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[path.name, node.name] = node.lineno
+                refs.discard(node.name)  # a use inside its own body
+            referenced |= refs
+    for path in sorted((ROOT / "bench").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        referenced |= _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    unreached = sorted(
+        f"{file}:{line}: {name}"
+        for (file, name), line in defined.items()
+        if name not in referenced and (file, name) not in _REACHED_OTHERWISE
+    )
+    assert not unreached, "definitions only tests reach:\n" + "\n".join(unreached)
+    assert set(_REACHED_OTHERWISE) <= set(defined)
+
+
 def _export_table_names(tree: ast.Module) -> list[str]:
     """Every name listed in the ``_EXPORTS`` literal, repeats included."""
     for node in tree.body:
@@ -233,14 +278,15 @@ _BRANCH_ARGVS = [
 
 def test_every_option_is_read_by_its_command():
     """A subcommand defines only options its command reads: each command
-    runs as ``main`` runs it, the policy built from its namespace first."""
+    runs as ``main`` runs it, the policy built from its cap first."""
     parser = cli._build_parser()
     defined, read = {}, {}
     for argv in _BRANCH_ARGVS:
         args = vars(parser.parse_args(argv))
         command = args.pop("command")
         settings = _ReadRecorder(args)
-        code = cli._COMMANDS[command](settings, cli._policy_of(settings), io.StringIO())
+        policy = cli.certified.RefinementPolicy(settings.precision_cap)
+        code = cli._COMMANDS[command](settings, policy, io.StringIO())
         assert code == cli.EXIT_OK, argv
         defined[command] = set(args)
         read.setdefault(command, set()).update(settings._reads)

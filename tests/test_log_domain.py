@@ -13,7 +13,6 @@ from mpmath import mp
 
 from ellplan.bounds import (
     BoundKind,
-    bound_value,
     log_e_phi,
     phi,
     phi_floor_sweep,
@@ -30,7 +29,7 @@ from ellplan.certified import (
 )
 from ellplan.planner import depth_comparison
 
-from conftest import mpf_to_fraction
+from conftest import bound_value, mpf_to_fraction
 
 LMAX = 300
 
@@ -87,7 +86,7 @@ def test_log1p_of_real_argument_encloses_it():
     assert log1p_of(const(0)).exact() == 0
     # an argument whose enclosures never leave 0 refines to UNRESOLVED
     straddle = log1p_of(exp_of(1) - E)
-    res = cmp_certified(straddle, 1, RefinementPolicy(8, 64))
+    res = cmp_certified(straddle, 1, RefinementPolicy(64))
     assert res.verdict is Verdict.UNRESOLVED
 
 

@@ -118,9 +118,10 @@ class TestEllPs:
 
     @pytest.mark.parametrize("k", [1, 3, 7, 50, 137, 200])
     def test_precision_independent(self, k):
+        # the one rung of 16 bits against the ladder from 32 to 4096 bits
         eps = Fraction(k, 1000)
-        a = ell_ps(eps, RefinementPolicy(64, 4096))
-        b = ell_ps(eps, RefinementPolicy(512, 4096))
+        a = ell_ps(eps, RefinementPolicy(16))
+        b = ell_ps(eps, RefinementPolicy(4096))
         assert a == b
 
     def test_agrees_with_oracle(self):
@@ -183,7 +184,7 @@ class TestEllPsWalk:
     def test_refusal_tracks_the_cap(self, cap):
         # the same ceiling message names the cap the walk ran under
         with pytest.raises(PrecisionExhausted, match=f"ambiguous at {cap} bits$"):
-            ell_ps(Fraction(1, 2 ** (2 * cap + 50)), RefinementPolicy(8, cap))
+            ell_ps(Fraction(1, 2 ** (2 * cap + 50)), RefinementPolicy(cap))
 
 
 class TestEllStar:
@@ -270,14 +271,14 @@ class TestCertificateSharp:
         assert direct.verdict is Verdict.LESS
 
     def test_indeterminate_raises_instead_of_false(self):
-        # pick eps so that 1 + e*eps sits within ~1e-9 of exp(eta(5)); an
-        # 8..16 bit ladder cannot separate them
+        # pick eps so that 1 + e*eps sits within ~1e-9 of exp(eta(5)); a
+        # 16-bit rung cannot separate them
         with mp.workdps(30):
             eta = mp.mpf(1) / 10 - mp.mpf(1) / 75 + mp.mpf(1) / 500
             near = (mp.exp(eta) - 1) / mp.e
             eps = Fraction(round(float(near * 10**9)), 10**9)
         with pytest.raises(PrecisionExhausted):
-            certificate_sharp(5, eps, RefinementPolicy(8, 16))
+            certificate_sharp(5, eps, RefinementPolicy(16))
 
     @pytest.mark.parametrize("text", ["1e-1", "1e-2", "1e-3"])
     def test_verdict_at_star_is_stable(self, text):
@@ -389,8 +390,9 @@ class TestPlan:
         assert p.precision_used >= 32
 
     def test_policy_does_not_change_answers(self):
-        fine = plan("1e-3", RefinementPolicy(512, 4096))
-        coarse = plan("1e-3", RefinementPolicy(64, 4096))
+        # ladders that share no rung: 32 to 4096 bits, and 16 bits alone
+        fine = plan("1e-3", RefinementPolicy(4096))
+        coarse = plan("1e-3", RefinementPolicy(16))
         assert (fine.ell_bf, fine.ell_ps, fine.ell_star) == (
             coarse.ell_bf,
             coarse.ell_ps,

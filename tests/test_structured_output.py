@@ -31,7 +31,7 @@ CORPUS = [
     "verify --suite logs --grid 0:1:1/4",
     "verify --suite expansion",
     # every rung is 8 bits, so small ell stay inconclusive: exit 2
-    "verify --suite bounds --lmax 30 --precision-start 8 --precision-cap 8",
+    "verify --suite bounds --lmax 30 --precision-cap 8",
     "certify --ell 5 --eps 1e-1",
     "certify --ell 1 --eps 3/20",
     "table --check",

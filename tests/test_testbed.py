@@ -21,11 +21,8 @@ from ellplan.testbed import (
     PartitionMatroid,
     UniformMatroid,
     brute_force_opt,
-    brute_force_opt_by_mask,
     bundled_instance,
     check_monotone_submodular,
-    check_tabulated,
-    f_eval,
     generate_random_instance,
     greedy,
     instance_to_jsonable,
@@ -36,7 +33,7 @@ from ellplan.testbed import (
 from ellplan.testbed import _Masks, _scan_table
 from ellplan._codecs import WEIGHT, FieldError
 
-from conftest import mpf_to_fraction
+from conftest import brute_force_opt_by_mask, check_tabulated, f_eval, mpf_to_fraction
 
 
 _, _as_weight = WEIGHT  # a weight's parse, at a path of the caller's choosing

@@ -70,7 +70,7 @@ def _examples() -> list:
     return [
         enclose_e(64),
         cmp_certified(Fraction(1, 3), exp_of(-1)),
-        RefinementPolicy(16, 256),
+        RefinementPolicy(256),
         sweep,
         sweep.entries[0],
         check_log_weak(Fraction(1, 2)),
@@ -211,8 +211,8 @@ def test_post_init_rejections_after_any_binding():
     for call in (
         lambda: Enclosure(2, 1),
         lambda: Enclosure(lo=2, hi=1),
-        lambda: RefinementPolicy(64, 32),
-        lambda: RefinementPolicy(start_bits=0),
+        lambda: RefinementPolicy(7),
+        lambda: RefinementPolicy(cap_bits=0),
     ):
         assert isinstance(_error(call), ValueError)
 
