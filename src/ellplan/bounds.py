@@ -18,20 +18,24 @@ exactly at ell = 2, so the certified chain runs
     sharp <= polya-szego <= loose-recip <= loose-linear      (ell >= 2).
 
 The three sweeps (verify_bounds, phi_floor_sweep, verify_bound_ordering)
-evaluate both sides of each check straight from the fixed-point kernels at
-the first rung's working scale, without building a RealExpr per check; the
-integers are exactly those cmp_certified's first rung would compare.  A
-check whose intervals are disjoint there is recorded at the first rung,
-which is where cmp_certified would decide it too; any other check goes
-through cmp_certified on the same descriptors.  Every verdict and bits_used
-in a SweepReport is therefore the one cmp_certified gives.
+evaluate both sides of each check straight from the fixed-point kernels,
+without building a RealExpr per check, and replay cmp_certified's first
+rung on them: the integers are exactly those it would compare, at the
+rung's working scale and, for small overlapping values, at its refined
+scale.  A check decided there is recorded at the first rung, which is where
+cmp_certified decides it too; any other check goes through cmp_certified on
+the same descriptors.  Every verdict and bits_used in a SweepReport is
+therefore the one cmp_certified gives.  A report stores runs of equal
+outcomes over consecutive ell, so a sweep's memory does not grow with the
+number of depths it checks.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from ellplan._value import Frozen
 from ellplan.certified import (
@@ -42,6 +46,7 @@ from ellplan.certified import (
     RefinementPolicy,
     Verdict,
     _Kernel,
+    _SMALL_LEAD,
     _ceil_div,
     _exp_fixed,
     _log1p_fixed,
@@ -163,36 +168,119 @@ class SweepEntry(Frozen):
     ok: bool
 
 
+# A run of checks: (first_ell, last_ell, verdict, bits_used, ok).
+Run = tuple[int, int, Verdict, int, bool]
+
+
+def _failed(run: Run) -> bool:
+    return not run[4] and run[2] is not Verdict.UNRESOLVED
+
+
+def _unresolved(run: Run) -> bool:
+    return run[2] is Verdict.UNRESOLVED
+
+
+def _count(runs: Iterable[Run]) -> int:
+    return sum(last - first + 1 for first, last, *_ in runs)
+
+
+def _expand(runs: Iterable[Run]) -> Iterator[SweepEntry]:
+    for first, last, verdict, bits, ok in runs:
+        for ell in range(first, last + 1):
+            yield SweepEntry(ell, verdict, bits, ok)
+
+
 class SweepReport(Frozen):
+    """One sweep's checks, stored as runs of consecutive ell with one
+    outcome each.
+
+    The runs are canonical: each covers first_ell <= last_ell, they are
+    sorted and disjoint, and two runs that touch carry different outcomes.
+    So two reports are equal exactly when their entries are, and a report
+    takes memory by its changes of outcome, not by the depths it covers.
+    entries, failures and inconclusive expand the runs they select; the
+    counts and summary() read the runs alone.
+    """
+
     label: str
-    entries: tuple[SweepEntry, ...]
+    runs: tuple[Run, ...]
+
+    def __post_init__(self) -> None:
+        prev = None
+        for run in self.runs:
+            first, last = run[0], run[1]
+            if first > last or prev is not None and (
+                first <= prev[1] or first == prev[1] + 1 and run[2:] == prev[2:]
+            ):
+                raise ValueError(f"sweep runs are not canonical at {run!r}")
+            prev = run
+
+    @property
+    def entries(self) -> tuple[SweepEntry, ...]:
+        """One entry per check, sorted by ell."""
+        return tuple(_expand(self.runs))
+
+    @property
+    def checked(self) -> int:
+        return _count(self.runs)
+
+    @property
+    def max_bits(self) -> int:
+        return max((run[3] for run in self.runs), default=0)
 
     @property
     def all_ok(self) -> bool:
-        return all(e.ok for e in self.entries)
+        return all(run[4] for run in self.runs)
 
     @property
     def failures(self) -> tuple[SweepEntry, ...]:
-        return tuple(
-            e for e in self.entries if not e.ok and e.verdict is not Verdict.UNRESOLVED
-        )
+        return tuple(_expand(filter(_failed, self.runs)))
 
     @property
     def inconclusive(self) -> tuple[SweepEntry, ...]:
-        return tuple(e for e in self.entries if e.verdict is Verdict.UNRESOLVED)
+        return tuple(_expand(filter(_unresolved, self.runs)))
+
+    @property
+    def failed_count(self) -> int:
+        """len(failures), without expanding them."""
+        return _count(filter(_failed, self.runs))
+
+    @property
+    def unresolved_count(self) -> int:
+        """len(inconclusive), without expanding them."""
+        return _count(filter(_unresolved, self.runs))
 
     def summary(self) -> str:
-        n = len(self.entries)
+        n = self.checked
         if self.all_ok:
             return f"{self.label}: {n}/{n} certified"
-        bad = ", ".join(str(e.ell) for e in self.failures[:5])
-        unres = ", ".join(str(e.ell) for e in self.inconclusive[:5])
-        parts = [f"{self.label}: {n - len(self.failures) - len(self.inconclusive)}/{n} certified"]
+        bad = ", ".join(str(e.ell) for e in islice(_expand(filter(_failed, self.runs)), 5))
+        unres = ", ".join(
+            str(e.ell) for e in islice(_expand(filter(_unresolved, self.runs)), 5)
+        )
+        parts = [
+            f"{self.label}: {n - self.failed_count - self.unresolved_count}/{n} certified"
+        ]
         if bad:
             parts.append(f"failed at ell = {bad}")
         if unres:
             parts.append(f"unresolved at ell = {unres}")
         return "; ".join(parts)
+
+
+def _extend(runs: list, ell: int, verdict: Verdict, bits: int, ok: bool) -> None:
+    """Record one check in runs, a list of [first, last, verdict, bits, ok]:
+    the last run grows when the check continues it."""
+    if runs:
+        run = runs[-1]
+        if run[1] + 1 == ell and run[2] is verdict and run[3] == bits and run[4] is ok:
+            run[1] = ell
+            return
+    runs.append([ell, ell, verdict, bits, ok])
+
+
+def _report(label: str, runs: list) -> SweepReport:
+    return SweepReport(label, tuple(map(tuple, runs)))
 
 
 def _log_target_fixed(kind: BoundKind, ell: int, w: int) -> tuple[int, int]:
@@ -202,13 +290,27 @@ def _log_target_fixed(kind: BoundKind, ell: int, w: int) -> tuple[int, int]:
     return _log1p_fixed(*_FACTOR_MINUS_ONE[kind](ell), w)
 
 
-def _decide(ia, ib, policy: RefinementPolicy, descriptors) -> tuple[Verdict, int]:
+def _one_plus_fixed(num: int, den: int, w: int) -> tuple[int, int]:
+    # 1 + num/den at scale w, as _rational_fixed gives it
+    one = 1 << w
+    return one + (num << w) // den, one + _ceil_div(num << w, den)
+
+
+def _decide(ia, ib, sides, policy: RefinementPolicy, descriptors) -> tuple[Verdict, int]:
     """Verdict and bits of cmp_certified(*descriptors(), policy).
 
-    ia and ib are the two sides at the first rung's working scale.  Disjoint
-    intervals there are cmp_certified's own first-rung verdict; anything
-    else is left to cmp_certified, built lazily from descriptors.
+    ia and ib are the two sides at the first rung's working scale w, and
+    sides(v) gives both at a scale v, as the descriptors' _fixed would.
+    This is cmp_certified's first rung: where the intervals overlap and
+    share at least _SMALL_LEAD leading zero bits, both are re-evaluated that
+    many bits finer, and disjoint intervals are its first-rung verdict.
+    Anything else is left to cmp_certified, built lazily from descriptors.
     """
+    if ia[1] >= ib[0] and ib[1] >= ia[0]:
+        w = _working_scale(policy.start_bits)
+        lead = w - max(map(abs, ia + ib)).bit_length()
+        if lead >= _SMALL_LEAD:
+            ia, ib = sides(w + lead)
     if ia[1] < ib[0]:
         return Verdict.LESS, policy.start_bits
     if ib[1] < ia[0]:
@@ -235,30 +337,28 @@ def verify_bounds(
     """Certify phi(ell) <= bound(kind, ell) for each kind over [lo, hi].
 
     Each check compares log_e_phi(ell) with the log of the kind's e-scaled
-    factor; LESS means phi(ell) < bound(kind, ell).  Entries are sorted by ell.
+    factor; LESS means phi(ell) < bound(kind, ell).
     """
     _check_ell(lo)
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
     w = _working_scale(policy.start_bits)
-    entries: dict[BoundKind, list[SweepEntry]] = {kind: [] for kind in kinds}
+    runs: dict[BoundKind, list] = {kind: [] for kind in kinds}
     for ell in range(lo, hi + 1):
         value = _log_e_phi_fixed(ell, w)
-        for kind, out in entries.items():
+        for kind, out in runs.items():
             if ell >= kind.min_ell:
                 verdict, bits = _decide(
                     value,
                     _log_target_fixed(kind, ell, w),
+                    lambda v: (_log_e_phi_fixed(ell, v), _log_target_fixed(kind, ell, v)),
                     policy,
                     lambda: (log_e_phi(ell), _log_bound_factor(kind, ell)),
                 )
-                out.append(SweepEntry(ell, verdict, bits, verdict is Verdict.LESS))
+                _extend(out, ell, verdict, bits, verdict is Verdict.LESS)
     return {
-        kind: SweepReport(
-            label=f"phi <= {kind.value} on [{max(lo, kind.min_ell)}, {hi}]",
-            entries=tuple(out),
-        )
-        for kind, out in entries.items()
+        kind: _report(f"phi <= {kind.value} on [{max(lo, kind.min_ell)}, {hi}]", out)
+        for kind, out in runs.items()
     }
 
 
@@ -288,36 +388,29 @@ def verify_bound_ordering(
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
     w = _working_scale(policy.start_bits)
-    entries: dict[str, list[SweepEntry]] = {
-        f"{s.value} <= {l.value}": [] for s, l in _ORDER_CHAIN
-    }
-    sharp_ps, ps_recip, recip_linear = entries.values()
-    one = 1 << w
+    runs: dict[str, list] = {f"{s.value} <= {l.value}": [] for s, l in _ORDER_CHAIN}
+    sharp_ps, ps_recip, recip_linear = runs.values()
     for ell in range(lo, hi + 1):
         ps, recip, linear = [excess(ell) for excess in _FACTOR_MINUS_ONE.values()]
         eta = sharp_exponent(ell)
         verdict, bits = _decide(
             _exp_fixed(eta.numerator, eta.denominator, w),
-            # the factor 1 + ps[0]/ps[1] at scale w, as _rational_fixed gives it
-            (one + (ps[0] << w) // ps[1], one + _ceil_div(ps[0] << w, ps[1])),
+            _one_plus_fixed(*ps, w),
+            lambda v: (_exp_fixed(eta.numerator, eta.denominator, v), _one_plus_fixed(*ps, v)),
             policy,
             lambda: (
                 bound_factor(BoundKind.SHARP, ell),
                 bound_factor(BoundKind.POLYA_SZEGO, ell),
             ),
         )
-        sharp_ps.append(SweepEntry(ell, verdict, bits, verdict is Verdict.LESS))
+        _extend(sharp_ps, ell, verdict, bits, verdict is Verdict.LESS)
         # rational factors compare as their excesses over 1 do
         for out, link in (
             (ps_recip, _exact_verdict(*ps, *recip)),
             (recip_linear, _exact_verdict(*recip, *linear)),
         ):
-            ok = link in (Verdict.LESS, Verdict.EQUAL)
-            out.append(SweepEntry(ell, link, 0, ok))
-    return {
-        key: SweepReport(label=f"{key} on [{lo}, {hi}]", entries=tuple(out))
-        for key, out in entries.items()
-    }
+            _extend(out, ell, link, 0, link in (Verdict.LESS, Verdict.EQUAL))
+    return {key: _report(f"{key} on [{lo}, {hi}]", out) for key, out in runs.items()}
 
 
 def ordering_exception_at_one(policy: RefinementPolicy = DEFAULT_POLICY) -> Comparison:
@@ -458,13 +551,14 @@ def phi_floor_sweep(
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
     w = _working_scale(policy.start_bits)
-    entries = []
+    runs: list = []
     for ell in range(lo, hi + 1):
         verdict, bits = _decide(
             _log_e_phi_fixed(ell, w),
             (0, 0),
+            lambda v: (_log_e_phi_fixed(ell, v), (0, 0)),
             policy,
             lambda: (log_e_phi(ell), const(0)),
         )
-        entries.append(SweepEntry(ell, verdict, bits, verdict is Verdict.GREATER))
-    return SweepReport(label=f"phi > 1/e on [{lo}, {hi}]", entries=tuple(entries))
+        _extend(runs, ell, verdict, bits, verdict is Verdict.GREATER)
+    return _report(f"phi > 1/e on [{lo}, {hi}]", runs)

@@ -288,9 +288,9 @@ def _sweep_lines(report, output_format: str, out) -> None:
 
 
 def _sweep_exit(reports) -> int:
-    if any(report.failures for report in reports):
+    if any(report.failed_count for report in reports):
         return EXIT_FAILURE
-    if any(report.inconclusive for report in reports):
+    if any(report.unresolved_count for report in reports):
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

@@ -101,11 +101,11 @@ class SweepSummary(Frozen):
     def from_report(cls, report: bounds.SweepReport) -> "SweepSummary":
         return cls(
             label=report.label,
-            checked=len(report.entries),
+            checked=report.checked,
             all_ok=report.all_ok,
             failures=tuple(e.ell for e in report.failures),
             inconclusive=tuple(e.ell for e in report.inconclusive),
-            max_bits=max((e.bits_used for e in report.entries), default=0),
+            max_bits=report.max_bits,
         )
 
 

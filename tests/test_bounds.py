@@ -1,16 +1,21 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from ellplan import bounds
 from ellplan.certified import (
+    _SMALL_LEAD,
     E,
     RefinementPolicy,
     Verdict,
+    _log1p_fixed,
     _working_scale,
     cmp_certified,
     const,
@@ -23,6 +28,7 @@ from ellplan.bounds import (
     SweepEntry,
     SweepReport,
     _ORDER_CHAIN,
+    _extend,
     _log_bound_factor,
     _log_e_phi_fixed,
     _log_target_fixed,
@@ -40,6 +46,7 @@ from ellplan.bounds import (
     verify_bound_ordering,
     verify_bounds,
 )
+from ellplan.records import SweepSummary
 
 from conftest import bound_value, mpf_to_fraction
 
@@ -51,7 +58,8 @@ def reference_log_e_phi(ell):
 
 # ---------------------------------------------------------------------------
 # the sweeps as one cmp_certified call per check: the reference that the
-# sweeps' first-rung shortcut must reproduce entry for entry
+# sweeps' first-rung shortcut must reproduce entry for entry.  Each builder
+# gives a report's (label, entries).
 
 
 def reference_verify_bounds(kinds, lo, hi, policy):
@@ -64,10 +72,7 @@ def reference_verify_bounds(kinds, lo, hi, policy):
                 ok = cmp.verdict is Verdict.LESS
                 out.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
     return {
-        kind: SweepReport(
-            label=f"phi <= {kind.value} on [{max(lo, kind.min_ell)}, {hi}]",
-            entries=tuple(out),
-        )
+        kind: (f"phi <= {kind.value} on [{max(lo, kind.min_ell)}, {hi}]", tuple(out))
         for kind, out in entries.items()
     }
 
@@ -80,10 +85,7 @@ def reference_verify_bound_ordering(lo, hi, policy):
             cmp = cmp_certified(factors[small], factors[large], policy)
             ok = cmp.verdict in (Verdict.LESS, Verdict.EQUAL)
             out.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
-    return {
-        key: SweepReport(label=f"{key} on [{lo}, {hi}]", entries=tuple(out))
-        for key, out in entries.items()
-    }
+    return {key: (f"{key} on [{lo}, {hi}]", tuple(out)) for key, out in entries.items()}
 
 
 def reference_phi_floor_sweep(lo, hi, policy):
@@ -92,7 +94,11 @@ def reference_phi_floor_sweep(lo, hi, policy):
         cmp = cmp_certified(reference_log_e_phi(ell), const(0), policy)
         ok = cmp.verdict is Verdict.GREATER
         entries.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
-    return SweepReport(label=f"phi > 1/e on [{lo}, {hi}]", entries=tuple(entries))
+    return f"phi > 1/e on [{lo}, {hi}]", tuple(entries)
+
+
+def expanded(report):
+    return report.label, report.entries
 
 
 CAPS = (8, 16, 32, 64, 4096)
@@ -101,22 +107,27 @@ CAPS = (8, 16, 32, 64, 4096)
 class TestSweepsMatchReference:
     """Caps of 8 and 16 bits are one-rung ladders, at which some checks stay
     unresolved; from 32 bits on, every check up to ell = 10^4 separates at
-    the first rung's scale.  Past 2 * 10^4 the sweeps' first-rung shortcut
-    hands most sharp checks to cmp_certified (30 of 32 at the default cap
-    on [20000, 20031]), which the last window covers."""
+    the first rung's scale.  Past 2 * 10^4 most sharp checks separate only
+    at the first rung's refined scale (30 of 32 at the default cap on
+    [20000, 20031]), which the last two windows cover, up to the --lmax
+    limit."""
 
     @pytest.mark.parametrize("cap", CAPS)
-    @pytest.mark.parametrize("lo,hi", [(1, 2000), (9969, 10000), (20000, 20031)])
+    @pytest.mark.parametrize(
+        "lo,hi", [(1, 2000), (9969, 10000), (20000, 20031), (99969, 100000)]
+    )
     def test_reports_equal(self, cap, lo, hi):
         policy = RefinementPolicy(cap)
         kinds = list(BoundKind)
-        assert verify_bounds(kinds, lo, hi, policy) == reference_verify_bounds(
-            kinds, lo, hi, policy
+        reports = verify_bounds(kinds, lo, hi, policy)
+        assert {kind: expanded(r) for kind, r in reports.items()} == (
+            reference_verify_bounds(kinds, lo, hi, policy)
         )
-        assert verify_bound_ordering(max(lo, 2), hi, policy) == (
+        reports = verify_bound_ordering(max(lo, 2), hi, policy)
+        assert {key: expanded(r) for key, r in reports.items()} == (
             reference_verify_bound_ordering(max(lo, 2), hi, policy)
         )
-        assert phi_floor_sweep(lo, hi, policy) == reference_phi_floor_sweep(
+        assert expanded(phi_floor_sweep(lo, hi, policy)) == reference_phi_floor_sweep(
             lo, hi, policy
         )
 
@@ -138,6 +149,198 @@ class TestSweepsMatchReference:
             expected = reference_log_e_phi(ell)._fixed(w)
             assert _log_e_phi_fixed(ell, w) == expected, (ell, w)
             assert log_e_phi(ell)._fixed(w) == expected, (ell, w)
+
+
+# ---------------------------------------------------------------------------
+# a report's runs against the per-entry definitions
+
+
+@st.composite
+def entry_lists(draw):
+    """Entries sorted by ell, in blocks of one outcome; a block may start
+    right after the previous one, with the same or another outcome, or
+    after a gap."""
+    ell = draw(st.integers(min_value=1, max_value=10**6))
+    entries = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        verdict = draw(st.sampled_from(list(Verdict)))
+        bits = draw(st.sampled_from((0, 8, 32, 4096)))
+        ok = draw(st.booleans())
+        ell += draw(st.sampled_from((0, 0, 1, 9)))
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            entries.append(SweepEntry(ell, verdict, bits, ok))
+            ell += 1
+    return entries
+
+
+def runs_of(entries):
+    """The canonical runs of entries sorted by ell: consecutive ell with one
+    outcome, grouped by ell minus position."""
+    keyed = groupby(
+        enumerate(entries), lambda ie: (ie[1].ell - ie[0], ie[1].verdict, ie[1].bits_used, ie[1].ok)
+    )
+    runs = []
+    for (_, verdict, bits, ok), group in keyed:
+        ells = [e.ell for _, e in group]
+        runs.append((ells[0], ells[-1], verdict, bits, ok))
+    return tuple(runs)
+
+
+def summary_of(label, entries):
+    """SweepReport.summary as defined on a tuple of entries."""
+    n = len(entries)
+    failures = [e for e in entries if not e.ok and e.verdict is not Verdict.UNRESOLVED]
+    inconclusive = [e for e in entries if e.verdict is Verdict.UNRESOLVED]
+    if all(e.ok for e in entries):
+        return f"{label}: {n}/{n} certified"
+    bad = ", ".join(str(e.ell) for e in failures[:5])
+    unres = ", ".join(str(e.ell) for e in inconclusive[:5])
+    parts = [f"{label}: {n - len(failures) - len(inconclusive)}/{n} certified"]
+    if bad:
+        parts.append(f"failed at ell = {bad}")
+    if unres:
+        parts.append(f"unresolved at ell = {unres}")
+    return "; ".join(parts)
+
+
+def outcome(build):
+    """build()'s value, or the ValueError class if it refuses."""
+    try:
+        return build()
+    except ValueError:
+        return ValueError
+
+
+class TestSweepReportRuns:
+    LABEL = "phi <= sharp on [1, 9]"
+
+    @given(entry_lists())
+    @settings(max_examples=150)
+    def test_views_match_the_entries(self, entries):
+        report = SweepReport(self.LABEL, runs_of(entries))
+        entries = tuple(entries)
+        assert report.entries == entries
+        failures = tuple(
+            e for e in entries if not e.ok and e.verdict is not Verdict.UNRESOLVED
+        )
+        inconclusive = tuple(e for e in entries if e.verdict is Verdict.UNRESOLVED)
+        assert report.failures == failures
+        assert report.inconclusive == inconclusive
+        assert report.failed_count == len(failures)
+        assert report.unresolved_count == len(inconclusive)
+        assert report.all_ok == all(e.ok for e in entries)
+        assert report.checked == len(entries)
+        assert report.max_bits == max((e.bits_used for e in entries), default=0)
+        assert report.summary() == summary_of(self.LABEL, entries)
+        assert outcome(lambda: SweepSummary.from_report(report)) == outcome(
+            lambda: SweepSummary(
+                self.LABEL,
+                len(entries),
+                all(e.ok for e in entries),
+                tuple(e.ell for e in failures),
+                tuple(e.ell for e in inconclusive),
+                max((e.bits_used for e in entries), default=0),
+            )
+        )
+
+    @given(entry_lists())
+    @settings(max_examples=100)
+    def test_sweeps_build_the_canonical_runs(self, entries):
+        runs = []
+        for e in entries:
+            _extend(runs, e.ell, e.verdict, e.bits_used, e.ok)
+        assert tuple(map(tuple, runs)) == runs_of(entries)
+
+    @given(entry_lists(), st.data())
+    @settings(max_examples=100)
+    def test_refuses_runs_that_are_not_canonical(self, entries, data):
+        runs = list(runs_of(entries))
+        long_runs = [i for i, r in enumerate(runs) if r[1] > r[0]]
+        broken = []
+        if long_runs:
+            # a run split in two with the same outcome
+            i = data.draw(st.sampled_from(long_runs))
+            first, last, *outcome_ = runs[i]
+            cut = data.draw(st.integers(min_value=first, max_value=last - 1))
+            split = (first, cut, *outcome_), (cut + 1, last, *outcome_)
+            broken.append(runs[:i] + list(split) + runs[i + 1:])
+            # a run whose ends are swapped
+            broken.append(runs[:i] + [(last, first, *outcome_)] + runs[i + 1:])
+        if len(runs) > 1:
+            # two runs out of order, and a run that overlaps its predecessor
+            i = data.draw(st.integers(min_value=0, max_value=len(runs) - 2))
+            broken.append(runs[:i] + [runs[i + 1], runs[i]] + runs[i + 2:])
+            first, last, *outcome_ = runs[i + 1]
+            broken.append(runs[:i + 1] + [(runs[i][1], last, *outcome_)] + runs[i + 2:])
+        for bad in broken:
+            with pytest.raises(ValueError, match="not canonical"):
+                SweepReport(self.LABEL, tuple(bad))
+
+    def test_equal_reports_are_equal_entry_by_entry(self):
+        one = (1, 3, Verdict.LESS, 32, True)
+        assert SweepReport(self.LABEL, (one,)) == SweepReport(self.LABEL, (one,))
+        assert SweepReport(self.LABEL, (one,)) != SweepReport(
+            self.LABEL, ((1, 3, Verdict.LESS, 64, True),)
+        )
+        assert SweepReport(self.LABEL, ()).summary() == f"{self.LABEL}: 0/0 certified"
+
+
+def sweep_peak(lo, hi):
+    """Peak traced bytes of the three sweeps over [lo, hi]."""
+    tracemalloc.start()
+    try:
+        verify_bounds(list(BoundKind), lo, hi)
+        verify_bound_ordering(max(lo, 2), hi)
+        phi_floor_sweep(lo, hi)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_the_window(monkeypatch):
+    """A window four times longer peaks within 64 KB of the shorter one;
+    one SweepEntry per check took about 580 KB more on these windows.  The
+    bounded log1p cache turns over as a window runs, and new entries
+    replacing ones made before tracing count as growth, so the sweeps read
+    the kernel past its cache here."""
+    assert _log1p_fixed.cache_info().maxsize is not None
+    monkeypatch.setattr(bounds, "_log1p_fixed", _log1p_fixed.__wrapped__)
+    short = sweep_peak(10_001, 10_250)
+    long = sweep_peak(10_001, 11_000)
+    assert long - short < 64 * 1024, (short, long)
+
+
+def _log_e_phi_kernel_cases() -> list[tuple[int, int]]:
+    """(ell, w): 1,500 seeded ell log-uniform up to 10^6 and the powers of two
+    and their neighbours, each at a w from 4 to 64 and at the refined scale
+    that cmp_certified's first rung, and a sweep's, moves to from 8, 16 and
+    32 bits when the value has enough leading zero bits."""
+    rng = random.Random(6000)
+    ells = [round(10 ** rng.uniform(0, 6)) for _ in range(1500)]
+    edges = [2**k + d for k in range(20) for d in (-1, 0, 1) if 2**k + d >= 1]
+    cases = [(ell, rng.randint(4, 64)) for ell in ells]
+    cases += [(ell, w) for ell in edges + [10**6] for w in (4, 5, 8, 31, 64)]
+    for ell in ells + edges:
+        for bits in (8, 16, 32):
+            w = _working_scale(bits)
+            lead = w - max(map(abs, _log_e_phi_fixed(ell, w))).bit_length()
+            if lead >= _SMALL_LEAD:
+                cases.append((ell, w + lead))
+    return cases
+
+
+def test_log_e_phi_kernel_contains_mpmath_at_700_bits():
+    """_log_e_phi_fixed's interval at scale w contains log(e*phi(ell)), at
+    small w where one ulp lost to inward rounding shows.  The sweeps decide
+    every check at their first rung from this kernel alone."""
+    misses = []
+    with mp.workprec(700):
+        for ell, w in _log_e_phi_kernel_cases():
+            lo, hi = _log_e_phi_fixed(ell, w)
+            value = mp.ldexp(1 - ell * mp.log1p(mp.mpf(1) / ell), w)
+            if not lo <= value <= hi:
+                misses.append((ell, w))
+    assert misses == []
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 7, 10, 1001, 10**9])
