@@ -50,7 +50,6 @@ from ellplan.certified import (
     _ceil_div,
     _exp_fixed,
     _log1p_fixed,
-    _rational_fixed,
     _working_scale,
     cmp_certified,
     const,
@@ -123,10 +122,15 @@ class BoundKind(Enum):
         return 1
 
 
+def _sharp_terms(ell: int) -> tuple[int, int]:
+    # sharp_exponent(ell) as num, den, not reduced: the sweeps' kernels give
+    # the same integers for any num, den of one rational
+    return 6 * ell * ell - 4 * ell + 3, 12 * ell**3
+
+
 def sharp_exponent(ell: int) -> Fraction:
     """1/(2 ell) - 1/(3 ell^2) + 1/(4 ell^3), over one denominator."""
-    ell = _check_ell(ell)
-    return Fraction(6 * ell * ell - 4 * ell + 3, 12 * ell**3)
+    return Fraction(*_sharp_terms(_check_ell(ell)))
 
 
 # Each rational bound's e-scaled factor minus 1 as (num, den), in the order
@@ -283,17 +287,16 @@ def _report(label: str, runs: list) -> SweepReport:
     return SweepReport(label, tuple(map(tuple, runs)))
 
 
+def _quotient_fixed(num: int, den: int, w: int) -> tuple[int, int]:
+    # num/den at scale w, as _rational_fixed gives it for the reduced form
+    return (num << w) // den, _ceil_div(num << w, den)
+
+
 def _log_target_fixed(kind: BoundKind, ell: int, w: int) -> tuple[int, int]:
     # _log_bound_factor(kind, ell)._fixed(w)
     if kind is BoundKind.SHARP:
-        return _rational_fixed(sharp_exponent(ell), w)
+        return _quotient_fixed(*_sharp_terms(ell), w)
     return _log1p_fixed(*_FACTOR_MINUS_ONE[kind](ell), w)
-
-
-def _one_plus_fixed(num: int, den: int, w: int) -> tuple[int, int]:
-    # 1 + num/den at scale w, as _rational_fixed gives it
-    one = 1 << w
-    return one + (num << w) // den, one + _ceil_div(num << w, den)
 
 
 def _decide(ia, ib, sides, policy: RefinementPolicy, descriptors) -> tuple[Verdict, int]:
@@ -344,10 +347,11 @@ def verify_bounds(
         raise ValueError(f"empty range [{lo}, {hi}]")
     w = _working_scale(policy.start_bits)
     runs: dict[BoundKind, list] = {kind: [] for kind in kinds}
+    checks = [(kind, kind.min_ell, out) for kind, out in runs.items()]
     for ell in range(lo, hi + 1):
         value = _log_e_phi_fixed(ell, w)
-        for kind, out in runs.items():
-            if ell >= kind.min_ell:
+        for kind, least, out in checks:
+            if ell >= least:
                 verdict, bits = _decide(
                     value,
                     _log_target_fixed(kind, ell, w),
@@ -392,11 +396,12 @@ def verify_bound_ordering(
     sharp_ps, ps_recip, recip_linear = runs.values()
     for ell in range(lo, hi + 1):
         ps, recip, linear = [excess(ell) for excess in _FACTOR_MINUS_ONE.values()]
-        eta = sharp_exponent(ell)
+        eta = _sharp_terms(ell)
+        factor = ps[1] + ps[0], ps[1]
         verdict, bits = _decide(
-            _exp_fixed(eta.numerator, eta.denominator, w),
-            _one_plus_fixed(*ps, w),
-            lambda v: (_exp_fixed(eta.numerator, eta.denominator, v), _one_plus_fixed(*ps, v)),
+            _exp_fixed(*eta, w),
+            _quotient_fixed(*factor, w),
+            lambda v: (_exp_fixed(*eta, v), _quotient_fixed(*factor, v)),
             policy,
             lambda: (
                 bound_factor(BoundKind.SHARP, ell),

@@ -357,6 +357,17 @@ def test_factor_table_gives_the_paper_factors(ell):
         assert _log_target_fixed(kind, ell, 60) == log1p_of(factor - 1)._fixed(60)
 
 
+def test_sharp_target_is_its_descriptors_interval():
+    # the sweeps scale the sharp exponent's unreduced terms, which share a
+    # power of 3 when 3 divides ell (27 at ell = 21)
+    rng = random.Random(3)
+    ells = list(range(1, 400)) + [rng.randint(1, 10**12) for _ in range(200)]
+    for ell in ells:
+        for w in (4, 28, 60, 97, 5000):
+            expected = _log_bound_factor(BoundKind.SHARP, ell)._fixed(w)
+            assert _log_target_fixed(BoundKind.SHARP, ell, w) == expected, (ell, w)
+
+
 def test_labels_name_the_values():
     assert log_e_phi(18394).describe() == "log(e*phi(18394))"
     assert E.describe() == "e"
