@@ -19,19 +19,17 @@ exactly at ell = 2, so the certified chain runs
 
 The three sweeps (verify_bounds, phi_floor_sweep, verify_bound_ordering)
 evaluate both sides of each check straight from the fixed-point kernels,
-without building a RealExpr per check, and replay cmp_certified's first
-rung on them: the integers are exactly those it would compare, at the
-rung's working scale and, for small overlapping values, at its refined
-scale.  A check decided there is recorded at the first rung, which is where
-cmp_certified decides it too; any other check goes through cmp_certified on
-the same descriptors.  Every verdict and bits_used in a SweepReport is
-therefore the one cmp_certified gives.  A report stores runs of equal
-outcomes over consecutive ell, so a sweep's memory does not grow with the
-number of depths it checks.
+without building a RealExpr per check, and compare them in cmp_certified's
+own rung loop, certified._cmp_fixed.  At every rung the integers are those
+cmp_certified would compare on the checks' descriptors, so every verdict
+and bits_used in a SweepReport is the one cmp_certified gives.  A report
+stores runs of equal outcomes over consecutive ell, so a sweep's memory
+does not grow with the number of depths it checks.
 """
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
@@ -46,11 +44,10 @@ from ellplan.certified import (
     RefinementPolicy,
     Verdict,
     _Kernel,
-    _SMALL_LEAD,
     _ceil_div,
+    _cmp_fixed,
     _exp_fixed,
     _log1p_fixed,
-    _working_scale,
     cmp_certified,
     const,
     enclose_exp,
@@ -89,6 +86,8 @@ def rho(ell: int) -> Fraction:
     return _coprime_fraction(value.denominator - value.numerator, value.denominator)
 
 
+# The kinds of one ell share each scale's evaluation.
+@functools.lru_cache(maxsize=16)
 def _log_e_phi_fixed(ell: int, w: int) -> tuple[int, int]:
     """log(e*phi(ell)) = 1 - ell*log1p(1/ell) at scale w: log_e_phi's kernel.
 
@@ -133,9 +132,8 @@ def sharp_exponent(ell: int) -> Fraction:
     return Fraction(*_sharp_terms(_check_ell(ell)))
 
 
-# Each rational bound's e-scaled factor minus 1 as (num, den), in the order
-# of the chain.  Lowest terms let a sweep check that goes on to cmp_certified
-# find its first rung in _log1p_fixed's cache.
+# Each rational bound's e-scaled factor minus 1 as (num, den), in lowest
+# terms and in the order of the chain.
 _FACTOR_MINUS_ONE = {
     BoundKind.POLYA_SZEGO: lambda ell: (1, 2 * ell),
     BoundKind.LOOSE_RECIP: lambda ell: (1, ell - 1),
@@ -152,13 +150,6 @@ def bound_factor(kind: BoundKind, ell: int) -> RealExpr:
         return exp_of(sharp_exponent(ell))
     num, den = _FACTOR_MINUS_ONE[kind](ell)
     return const(Fraction(den + num, den))
-
-
-def _log_bound_factor(kind: BoundKind, ell: int) -> RealExpr:
-    # log of bound_factor: the sharp exponent itself, else log1p(factor - 1)
-    if kind is BoundKind.SHARP:
-        return const(sharp_exponent(ell))
-    return log1p_of(Fraction(*_FACTOR_MINUS_ONE[kind](ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,33 +284,11 @@ def _quotient_fixed(num: int, den: int, w: int) -> tuple[int, int]:
 
 
 def _log_target_fixed(kind: BoundKind, ell: int, w: int) -> tuple[int, int]:
-    # _log_bound_factor(kind, ell)._fixed(w)
+    # log of bound_factor(kind, ell) at scale w: the sharp exponent itself,
+    # else log1p(factor - 1)
     if kind is BoundKind.SHARP:
         return _quotient_fixed(*_sharp_terms(ell), w)
     return _log1p_fixed(*_FACTOR_MINUS_ONE[kind](ell), w)
-
-
-def _decide(ia, ib, sides, policy: RefinementPolicy, descriptors) -> tuple[Verdict, int]:
-    """Verdict and bits of cmp_certified(*descriptors(), policy).
-
-    ia and ib are the two sides at the first rung's working scale w, and
-    sides(v) gives both at a scale v, as the descriptors' _fixed would.
-    This is cmp_certified's first rung: where the intervals overlap and
-    share at least _SMALL_LEAD leading zero bits, both are re-evaluated that
-    many bits finer, and disjoint intervals are its first-rung verdict.
-    Anything else is left to cmp_certified, built lazily from descriptors.
-    """
-    if ia[1] >= ib[0] and ib[1] >= ia[0]:
-        w = _working_scale(policy.start_bits)
-        lead = w - max(map(abs, ia + ib)).bit_length()
-        if lead >= _SMALL_LEAD:
-            ia, ib = sides(w + lead)
-    if ia[1] < ib[0]:
-        return Verdict.LESS, policy.start_bits
-    if ib[1] < ia[0]:
-        return Verdict.GREATER, policy.start_bits
-    cmp = cmp_certified(*descriptors(), policy)
-    return cmp.verdict, cmp.bits_used
 
 
 def _exact_verdict(an: int, ad: int, bn: int, bd: int) -> Verdict:
@@ -345,19 +314,14 @@ def verify_bounds(
     _check_ell(lo)
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    w = _working_scale(policy.start_bits)
     runs: dict[BoundKind, list] = {kind: [] for kind in kinds}
     checks = [(kind, kind.min_ell, out) for kind, out in runs.items()]
     for ell in range(lo, hi + 1):
-        value = _log_e_phi_fixed(ell, w)
         for kind, least, out in checks:
             if ell >= least:
-                verdict, bits = _decide(
-                    value,
-                    _log_target_fixed(kind, ell, w),
+                verdict, bits = _cmp_fixed(
                     lambda v: (_log_e_phi_fixed(ell, v), _log_target_fixed(kind, ell, v)),
                     policy,
-                    lambda: (log_e_phi(ell), _log_bound_factor(kind, ell)),
                 )
                 _extend(out, ell, verdict, bits, verdict is Verdict.LESS)
     return {
@@ -391,22 +355,14 @@ def verify_bound_ordering(
         raise ValueError("ordering sweep needs lo >= 2; ell = 1 is the exception")
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    w = _working_scale(policy.start_bits)
     runs: dict[str, list] = {f"{s.value} <= {l.value}": [] for s, l in _ORDER_CHAIN}
     sharp_ps, ps_recip, recip_linear = runs.values()
     for ell in range(lo, hi + 1):
         ps, recip, linear = [excess(ell) for excess in _FACTOR_MINUS_ONE.values()]
         eta = _sharp_terms(ell)
         factor = ps[1] + ps[0], ps[1]
-        verdict, bits = _decide(
-            _exp_fixed(*eta, w),
-            _quotient_fixed(*factor, w),
-            lambda v: (_exp_fixed(*eta, v), _quotient_fixed(*factor, v)),
-            policy,
-            lambda: (
-                bound_factor(BoundKind.SHARP, ell),
-                bound_factor(BoundKind.POLYA_SZEGO, ell),
-            ),
+        verdict, bits = _cmp_fixed(
+            lambda v: (_exp_fixed(*eta, v), _quotient_fixed(*factor, v)), policy
         )
         _extend(sharp_ps, ell, verdict, bits, verdict is Verdict.LESS)
         # rational factors compare as their excesses over 1 do
@@ -555,15 +511,8 @@ def phi_floor_sweep(
     _check_ell(lo)
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    w = _working_scale(policy.start_bits)
     runs: list = []
     for ell in range(lo, hi + 1):
-        verdict, bits = _decide(
-            _log_e_phi_fixed(ell, w),
-            (0, 0),
-            lambda v: (_log_e_phi_fixed(ell, v), (0, 0)),
-            policy,
-            lambda: (log_e_phi(ell), const(0)),
-        )
+        verdict, bits = _cmp_fixed(lambda v: (_log_e_phi_fixed(ell, v), (0, 0)), policy)
         _extend(runs, ell, verdict, bits, verdict is Verdict.GREATER)
     return _report(f"phi > 1/e on [{lo}, {hi}]", runs)

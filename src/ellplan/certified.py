@@ -16,12 +16,16 @@ whenever ``p2 >= p1``.  enclose_exp and enclose_log1p are that method on
 exp_of and log1p_of.  enclose_e alone sums its own series in exact
 rationals; it is the kernels' source of e.
 
-cmp_certified evaluates the intervals directly.  Fixed-point rounding is not
-monotone in w, so it intersects each rung with the previous one, and the
-intervals it compares are nested as the precision grows.  A Less or Greater
-verdict is only ever produced from two provably disjoint intervals.  No
-floating point appears on any certified path.  It is the one loop over a
-precision ladder; least_holding walks its verdicts to a least integer.
+cmp_certified compares two exact rationals directly and anything else in
+its rung loop, _cmp_fixed, which takes any function that gives both values'
+intervals at a scale w; bounds' sweeps pass it their kernels and build no
+descriptor.  Fixed-point rounding is not monotone in w, so the
+loop intersects each rung with the previous one, and the intervals it
+compares are nested as the precision grows.  A Less or Greater verdict is
+only ever produced from two provably disjoint intervals.  No floating point
+appears on any certified path.  The rung loop is the one loop over a
+precision ladder; least_holding walks cmp_certified's verdicts to a least
+integer.
 """
 
 from __future__ import annotations
@@ -544,6 +548,12 @@ class RefinementPolicy(Frozen):
                 return
             bits = min(bits * 2, self.cap_bits)
 
+    @functools.cached_property
+    def _rungs(self) -> tuple[tuple[int, int], ...]:
+        # each rung's bits and working scale, computed once per policy and
+        # read by every comparison
+        return tuple((bits, _working_scale(bits)) for bits in self.ladder())
+
 
 DEFAULT_POLICY = RefinementPolicy()
 
@@ -569,13 +579,8 @@ def cmp_certified(a, b, policy: RefinementPolicy = DEFAULT_POLICY) -> Comparison
     """Certified three-way comparison of two real-value descriptors.
 
     Exact rational pairs compare directly (the only way to obtain an Equal
-    verdict).  Otherwise both sides are evaluated as fixed-point intervals
-    at each rung of the policy's precision ladder until the intervals are
-    disjoint.  Where they overlap and both are below 2^-5, the rung refines
-    by the leading zero bits they share, so small values compare relative
-    to their size.  Each rung's intervals are intersected with the previous
-    rung's, so refinement never widens an enclosure.  If they still overlap
-    at the cap the result is Unresolved, never a guess.
+    verdict).  Otherwise the two descriptors' fixed-point intervals go up
+    the policy's precision ladder in _cmp_fixed.
     """
     ea, eb = as_expr(a), as_expr(b)
     xa, xb = ea.exact(), eb.exact()
@@ -583,16 +588,30 @@ def cmp_certified(a, b, policy: RefinementPolicy = DEFAULT_POLICY) -> Comparison
         if xa == xb:
             return Comparison(Verdict.EQUAL, 0)
         return Comparison(Verdict.LESS if xa < xb else Verdict.GREATER, 0)
+    return Comparison(*_cmp_fixed(lambda w: (ea._fixed(w), eb._fixed(w)), policy))
+
+
+def _cmp_fixed(sides, policy: RefinementPolicy) -> tuple[Verdict, int]:
+    """Verdict and bits of two values that sides(w) encloses at scale w.
+
+    sides(w) gives both values' fixed-point intervals at scale w, and may
+    raise ZeroStraddle.  They are evaluated at each rung of the policy's
+    precision ladder until they are disjoint.  Where they overlap and both
+    are below 2^-5, the rung refines by the leading zero bits they share,
+    so small values compare relative to their size.  Each rung's intervals
+    are intersected with the previous rung's, so refinement never widens an
+    enclosure.  If they still overlap at the cap the result is Unresolved,
+    never a guess.
+    """
     prev = None
-    for bits in policy.ladder():
-        w = _working_scale(bits)
+    for bits, w in policy._rungs:
         try:
-            ia, ib = ea._fixed(w), eb._fixed(w)
+            ia, ib = sides(w)
             if ia[1] >= ib[0] and ib[1] >= ia[0]:
                 lead = w - max(map(abs, ia + ib)).bit_length()
                 if lead >= _SMALL_LEAD:
                     w += lead
-                    ia, ib = ea._fixed(w), eb._fixed(w)
+                    ia, ib = sides(w)
         except ZeroStraddle:
             continue  # refine; the interval may separate from zero yet
         if prev is not None:
@@ -601,11 +620,11 @@ def cmp_certified(a, b, policy: RefinementPolicy = DEFAULT_POLICY) -> Comparison
             ia, ib = _meet(ia, w, pa, pw), _meet(ib, w, pb, pw)
             w = max(w, pw)
         if ia[1] < ib[0]:
-            return Comparison(Verdict.LESS, bits)
+            return Verdict.LESS, bits
         if ib[1] < ia[0]:
-            return Comparison(Verdict.GREATER, bits)
+            return Verdict.GREATER, bits
         prev = (w, ia, ib)
-    return Comparison(Verdict.UNRESOLVED, policy.cap_bits)
+    return Verdict.UNRESOLVED, policy.cap_bits
 
 
 def least_holding(holds: Callable[[int], bool], guess: int, least: int) -> int:

@@ -7,8 +7,8 @@ from typing import Callable, Iterable, Optional
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ellplan.bounds import BoundKind, bound_factor
-from ellplan.certified import Enclosure, RealExpr, enclose_e, exp_of
+from ellplan.bounds import BoundKind, bound_factor, sharp_exponent
+from ellplan.certified import Enclosure, RealExpr, const, enclose_e, exp_of, log1p_of
 from ellplan.planner import ell_star
 from ellplan.testbed import (
     CHECK_LIMIT,
@@ -70,6 +70,15 @@ def bound_value(kind: BoundKind, ell: int) -> RealExpr:
     """The upper bound itself, (1/e) times the kind's factor: the linear-domain
     reference for the sweeps' log-domain checks."""
     return bound_factor(kind, ell) * exp_of(-1)
+
+
+def log_bound_factor(kind: BoundKind, ell: int) -> RealExpr:
+    """The log of the kind's e-scaled factor, as a descriptor: the sharp
+    exponent itself, else log1p(factor - 1).  verify_bounds compares
+    log_e_phi(ell) with its kernel interval at each rung."""
+    if kind is BoundKind.SHARP:
+        return const(sharp_exponent(ell))
+    return log1p_of(bound_factor(kind, ell).exact() - 1)
 
 
 def f_eval(

@@ -15,6 +15,7 @@ from ellplan.certified import (
     E,
     RefinementPolicy,
     Verdict,
+    _exp_fixed,
     _log1p_fixed,
     _working_scale,
     cmp_certified,
@@ -29,9 +30,9 @@ from ellplan.bounds import (
     SweepReport,
     _ORDER_CHAIN,
     _extend,
-    _log_bound_factor,
     _log_e_phi_fixed,
     _log_target_fixed,
+    _sharp_terms,
     bound_factor,
     check_expansion_agreement,
     check_log_pade,
@@ -48,7 +49,7 @@ from ellplan.bounds import (
 )
 from ellplan.records import SweepSummary
 
-from conftest import bound_value, mpf_to_fraction
+from conftest import bound_value, log_bound_factor, mpf_to_fraction
 
 
 def reference_log_e_phi(ell):
@@ -68,7 +69,7 @@ def reference_verify_bounds(kinds, lo, hi, policy):
         value = reference_log_e_phi(ell)
         for kind, out in entries.items():
             if ell >= kind.min_ell:
-                cmp = cmp_certified(value, _log_bound_factor(kind, ell), policy)
+                cmp = cmp_certified(value, log_bound_factor(kind, ell), policy)
                 ok = cmp.verdict is Verdict.LESS
                 out.append(SweepEntry(ell, cmp.verdict, cmp.bits_used, ok))
     return {
@@ -101,6 +102,21 @@ def expanded(report):
     return report.label, report.entries
 
 
+def assert_sweeps_match_reference(lo, hi, policy):
+    kinds = list(BoundKind)
+    reports = verify_bounds(kinds, lo, hi, policy)
+    assert {kind: expanded(r) for kind, r in reports.items()} == (
+        reference_verify_bounds(kinds, lo, hi, policy)
+    )
+    reports = verify_bound_ordering(max(lo, 2), hi, policy)
+    assert {key: expanded(r) for key, r in reports.items()} == (
+        reference_verify_bound_ordering(max(lo, 2), hi, policy)
+    )
+    assert expanded(phi_floor_sweep(lo, hi, policy)) == reference_phi_floor_sweep(
+        lo, hi, policy
+    )
+
+
 CAPS = (8, 16, 32, 64, 4096)
 
 
@@ -117,19 +133,7 @@ class TestSweepsMatchReference:
         "lo,hi", [(1, 2000), (9969, 10000), (20000, 20031), (99969, 100000)]
     )
     def test_reports_equal(self, cap, lo, hi):
-        policy = RefinementPolicy(cap)
-        kinds = list(BoundKind)
-        reports = verify_bounds(kinds, lo, hi, policy)
-        assert {kind: expanded(r) for kind, r in reports.items()} == (
-            reference_verify_bounds(kinds, lo, hi, policy)
-        )
-        reports = verify_bound_ordering(max(lo, 2), hi, policy)
-        assert {key: expanded(r) for key, r in reports.items()} == (
-            reference_verify_bound_ordering(max(lo, 2), hi, policy)
-        )
-        assert expanded(phi_floor_sweep(lo, hi, policy)) == reference_phi_floor_sweep(
-            lo, hi, policy
-        )
+        assert_sweeps_match_reference(lo, hi, RefinementPolicy(cap))
 
     @pytest.mark.parametrize("bits", (8, 16, 32, 64))
     def test_direct_value_interval(self, bits):
@@ -149,6 +153,38 @@ class TestSweepsMatchReference:
             expected = reference_log_e_phi(ell)._fixed(w)
             assert _log_e_phi_fixed(ell, w) == expected, (ell, w)
             assert log_e_phi(ell)._fixed(w) == expected, (ell, w)
+
+
+class TestSweepsBuildNoDescriptor:
+    """The sweeps compare the kernels' intervals in cmp_certified's rung
+    loop and never call cmp_certified itself, which here raises.  At the
+    one-rung ladders of 8 and 16 bits the checks that stay open are
+    unresolved at that rung, as cmp_certified would leave them, without a
+    RealExpr built for any of them."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_cmp_certified(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep called cmp_certified")
+
+        monkeypatch.setattr(bounds, "cmp_certified", refuse)
+
+    @pytest.mark.parametrize("cap,unresolved", [(8, 3003), (16, 2002)])
+    def test_one_rung_ladders_near_the_limit(self, cap, unresolved):
+        policy = RefinementPolicy(cap)
+        lo, hi = 99_000, 100_000
+        reports = [
+            *verify_bounds(list(BoundKind), lo, hi, policy).values(),
+            *verify_bound_ordering(lo, hi, policy).values(),
+            phi_floor_sweep(lo, hi, policy),
+        ]
+        assert sum(r.checked for r in reports) == 8 * (hi - lo + 1)
+        assert sum(r.unresolved_count for r in reports) == unresolved
+        assert sum(r.failed_count for r in reports) == 0
+
+    @pytest.mark.parametrize("cap", (8, 16, 64, 4096))
+    def test_reports_equal_the_reference(self, cap):
+        assert_sweeps_match_reference(99_969, 100_000, RefinementPolicy(cap))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +388,7 @@ def test_factor_table_gives_the_paper_factors(ell):
     }
     for kind, factor in factors.items():
         assert bound_factor(kind, ell).exact() == factor
-        log_factor = _log_bound_factor(kind, ell)
+        log_factor = log_bound_factor(kind, ell)
         assert log_factor.describe() == f"log1p({factor - 1})"
         assert _log_target_fixed(kind, ell, 60) == log1p_of(factor - 1)._fixed(60)
 
@@ -364,8 +400,19 @@ def test_sharp_target_is_its_descriptors_interval():
     ells = list(range(1, 400)) + [rng.randint(1, 10**12) for _ in range(200)]
     for ell in ells:
         for w in (4, 28, 60, 97, 5000):
-            expected = _log_bound_factor(BoundKind.SHARP, ell)._fixed(w)
+            expected = log_bound_factor(BoundKind.SHARP, ell)._fixed(w)
             assert _log_target_fixed(BoundKind.SHARP, ell, w) == expected, (ell, w)
+
+
+def test_sharp_factor_is_its_descriptors_interval():
+    # the ordering sweep takes exp of the sharp exponent's unreduced terms
+    # at every rung, where bound_factor reduces the exponent first
+    rng = random.Random(3)
+    ells = list(range(1, 400)) + [rng.randint(1, 10**12) for _ in range(200)]
+    for ell in ells:
+        factor = bound_factor(BoundKind.SHARP, ell)
+        for w in (28, 60, 97, 124, 188):
+            assert _exp_fixed(*_sharp_terms(ell), w) == factor._fixed(w), (ell, w)
 
 
 def test_labels_name_the_values():

@@ -23,7 +23,10 @@ from ellplan.certified import (
     exp_of,
     least_holding,
     log1p_of,
+    _cmp_fixed,
+    _exp_fixed,
     _log1p_fixed,
+    _meet,
 )
 
 from conftest import mpf_to_fraction
@@ -215,6 +218,98 @@ class TestLog1pKernel:
                 if not lo <= value <= hi:
                     misses.append((num, den, w))
         assert misses == []
+
+
+def _exp_near_integer_cases() -> list[tuple[int, int, int]]:
+    """(p, q, w) with exp(p/q) * 2^w within 2^-12 of an integer, w from 8
+    to 128: a seeded search over q up to 64 and 0 < |p/q| <= 8, which reads
+    every w off one 300-bit value of exp(p/q).  The kernel rounds its ends
+    outward from a working scale at least 17 bits finer than w, and that
+    rounding absorbs an inward error at the working scale unless the value
+    sits this close above (for the upper end) or below (for the lower end,
+    which a negative argument's inversion takes from the upper one) an
+    integer at scale w."""
+    rng = random.Random(4096)
+    cases = []
+    with mp.workprec(340):
+        for _ in range(3000):
+            q = rng.randint(1, 64)
+            p = rng.choice([-1, 1]) * rng.randint(1, 8 * q)
+            value = int(mp.ldexp(mp.exp(mp.mpf(p) / q), 300))
+            for w in range(8, 129):
+                below = 300 - w  # the bits of value below scale w
+                frac = value & ((1 << below) - 1)
+                if min(frac, (1 << below) - frac) >> (below - 12) == 0:
+                    cases.append((p, q, w))
+    return cases
+
+
+class TestExpKernel:
+    """_exp_fixed's interval at scale w contains exp(p/q), at small w and at
+    arguments where its final outward rounding hides the least, and is at
+    most two ulps wide: the kernel's 16 extra working bits pay for its
+    Taylor rounding and its squarings."""
+
+    def test_contains_mpmath_at_700_bits(self):
+        cases = _exp_near_integer_cases()
+        assert len(cases) > 100
+        rng = random.Random(128)
+        for _ in range(2000):
+            q = rng.randint(1, 10**4)
+            cases.append((rng.choice([-1, 1]) * rng.randint(1, 8 * q), q, rng.randint(8, 128)))
+        misses, wide = [], []
+        with mp.workprec(700):
+            for p, q, w in cases:
+                lo, hi = _exp_fixed(p, q, w)
+                value = mp.ldexp(mp.exp(mp.mpf(p) / q), w)
+                if not lo <= value <= hi:
+                    misses.append((p, q, w))
+                if hi - lo > 2:
+                    wide.append((p, q, w))
+        assert (misses, wide) == ([], [])
+
+
+class TestRungLoop:
+    """_cmp_fixed, the rung loop that cmp_certified and the sweeps share, on
+    sides given directly as integer intervals."""
+
+    def test_meet_keeps_the_inner_ends(self):
+        # (1, 2) at scale 2 is (4, 8) at scale 4
+        assert _meet((3, 9), 4, (1, 2), 2) == (4, 8)
+        assert _meet((1, 2), 2, (3, 9), 4) == (4, 8)
+        assert _meet((5, 7), 4, (1, 2), 2) == (5, 7)
+
+    def test_small_values_refine_by_their_shared_leading_zeros(self):
+        # both sides below 2^-5 at the 32-bit rung's w = 60, where the
+        # largest end has 4 bits: the rung moves 56 bits finer
+        asked = []
+
+        def sides(w):
+            asked.append(w)
+            return (1 << (w - 58), 2 << (w - 58)), (2 << (w - 58), 3 << (w - 58))
+
+        assert _cmp_fixed(sides, RefinementPolicy(32)) == (Verdict.UNRESOLVED, 32)
+        assert asked == [60, 116]
+
+    def test_large_values_do_not_refine(self):
+        asked = []
+
+        def sides(w):
+            asked.append(w)
+            return (1 << (w - 4), 2 << (w - 4)), (2 << (w - 4), 3 << (w - 4))
+
+        assert _cmp_fixed(sides, RefinementPolicy(64)) == (Verdict.UNRESOLVED, 64)
+        assert asked == [60, 104]
+
+    def test_a_rung_is_met_with_the_one_before(self):
+        # [0, 1/2] against [3/8, 1], then [0, 3/4] against [5/8, 1]: the
+        # second rung alone overlaps, and met with the first it separates
+        def sides(w):
+            if w == 60:
+                return (0, 4 << 57), (3 << 57, 8 << 57)
+            return (0, 6 << 101), (5 << 101, 8 << 101)
+
+        assert _cmp_fixed(sides, RefinementPolicy(64)) == (Verdict.LESS, 64)
 
 
 class TestComposition:

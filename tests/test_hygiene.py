@@ -349,28 +349,37 @@ def test_only_the_codecs_module_reads_json():
     assert (loads, hooks) == ({"_codecs.py"}, {"_codecs.py"})
 
 
-def _ladder_callers(tree: ast.AST, where: str = "<module>") -> list[str]:
-    """The innermost function around each ``.ladder()`` call in a tree."""
+def _ladder_readers(tree: ast.AST, where: str = "<module>") -> list[str]:
+    """The innermost function around each read of a policy's ``ladder`` or
+    ``_rungs`` in a tree, as ``function:attribute``."""
     found = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += _ladder_callers(node, node.name)
+            found += _ladder_readers(node, node.name)
             continue
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "ladder"
-        ):
-            found.append(where)
-        found += _ladder_callers(node, where)
+        if isinstance(node, ast.Attribute) and node.attr in ("ladder", "_rungs"):
+            found.append(f"{where}:{node.attr}")
+        found += _ladder_readers(node, where)
     return found
 
 
 def test_only_cmp_certified_walks_the_precision_ladder():
-    # one loop over the precision ladder: every certified decision, ell_ps's
-    # ceiling included, is a cmp_certified verdict at the rung it needed
-    callers = []
+    # one loop over the precision ladder, cmp_certified's rung loop: every
+    # certified decision, ell_ps's ceiling and each sweep check included, is
+    # its verdict at the rung it needed.  A policy walks its ladder once,
+    # into the rungs that only that loop reads.
+    readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        callers += [f"{path.name}:{name}" for name in _ladder_callers(tree)]
-    assert callers == ["certified.py:cmp_certified"]
+        readers += [f"{path.name}:{name}" for name in _ladder_readers(tree)]
+    assert readers == ["certified.py:_rungs:ladder", "certified.py:_cmp_fixed:_rungs"]
+
+
+def test_only_the_rung_loop_module_reads_the_small_value_threshold():
+    # the small-value refinement is the rung loop's alone; no caller replays it
+    readers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "_SMALL_LEAD" in _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert readers == {"certified.py"}

@@ -1,7 +1,9 @@
-"""Smoke tests for the script in scripts/, run in-process through runpy.
+"""Smoke tests for the scripts in scripts/, run in-process through runpy.
 
-The script imports public names from the package, so running it catches a
-name that was removed or renamed; runpy avoids an interpreter start-up.
+find_gap_instance imports public names from the package, so running it
+catches a name that was removed or renamed; runpy avoids an interpreter
+start-up.  The mutation script starts a test run per mutant, so only its
+mutant table is checked against the source.
 """
 
 import contextlib
@@ -14,7 +16,9 @@ import pytest
 
 from ellplan.cli import EXIT_USAGE
 
-FIND_GAP = Path(__file__).resolve().parent.parent / "scripts" / "find_gap_instance.py"
+ROOT = Path(__file__).resolve().parent.parent
+FIND_GAP = ROOT / "scripts" / "find_gap_instance.py"
+MUTANTS = ROOT / "scripts" / "mutants.py"
 
 
 class _ClosedPipe:
@@ -71,3 +75,11 @@ def test_failed_final_flush_is_usage_error(monkeypatch, capsys, tmp_path):
         assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_every_mutant_line_is_in_the_source():
+    script = runpy.run_path(str(MUTANTS))
+    for name, file, line, mutated in script["MUTANTS"]:
+        text = (ROOT / "src" / "ellplan" / file).read_text()
+        assert text.split("\n").count(line) == 1, name
+        assert script["mutate"](text, line, mutated) != text, name
