@@ -224,7 +224,7 @@ def _exp_near_integer_cases() -> list[tuple[int, int, int]]:
     """(p, q, w) with exp(p/q) * 2^w within 2^-12 of an integer, w from 8
     to 128: a seeded search over q up to 64 and 0 < |p/q| <= 8, which reads
     every w off one 300-bit value of exp(p/q).  The kernel rounds its ends
-    outward from a working scale at least 17 bits finer than w, and that
+    outward from a working scale at least 16 bits finer than w, and that
     rounding absorbs an inward error at the working scale unless the value
     sits this close above (for the upper end) or below (for the lower end,
     which a negative argument's inversion takes from the upper one) an
